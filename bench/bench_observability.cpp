@@ -181,8 +181,7 @@ int main(int Argc, char **Argv) {
   constexpr double RatioMax = 1.03, AbsToleranceS = 0.20;
   double Overhead =
       Off.BestWall > 0.0 ? On.BestWall / Off.BestWall - 1.0 : 0.0;
-  bool Recorded = !support::telemetryCompiledIn() ||
-                  (Spans > 0 && FlightEvents > 0 && LatencySamples > 0);
+  bool Recorded = Spans > 0 && FlightEvents > 0 && LatencySamples > 0;
   bool GateWall = On.BestWall <= Off.BestWall * RatioMax + AbsToleranceS;
   bool Pass = GateWall && Recorded;
 

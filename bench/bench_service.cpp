@@ -183,10 +183,7 @@ DedupRun runDedup(service::Daemon &D, const BenchConfig &BC,
       }
     }
   }
-  // With telemetry compiled out the counters cannot testify; the
-  // byte-identity check still holds and the gate degrades to that.
-  Run.ProvedOnce = !support::telemetryCompiledIn() ||
-                   Run.ObligationsProved == SuiteObligations;
+  Run.ProvedOnce = Run.ObligationsProved == SuiteObligations;
   return Run;
 }
 

@@ -13,7 +13,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "engine/Engine.h"
 #include "ir/Interp.h"
 #include "ir/Parser.h"
@@ -22,6 +22,7 @@
 #include "opts/Labels.h"
 #include "opts/Optimizations.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace cobalt;
@@ -30,14 +31,21 @@ using namespace cobalt::engine;
 int main() {
   api::CobaltConfig Config;
   Config.Prover.TimeoutMs = 4000;
-  api::CobaltContext Ctx(Config);
-  for (const LabelDef &Def : opts::standardLabels())
-    Ctx.defineLabel(Def);
-  Ctx.addAnalysis(opts::taintAnalysis()); // declares notTainted
   opts::BuggyCase Buggy = opts::loadCseNoTaint();
-  for (const LabelDef &Def : Buggy.Opt.Labels)
-    Ctx.defineLabel(Def);
-  const LabelRegistry &Registry = Ctx.registry();
+  api::CobaltService::Builder B;
+  B.config(Config);
+  for (const LabelDef &Def : opts::standardLabels())
+    B.defineLabel(Def);
+  B.addAnalysis(opts::taintAnalysis()); // declares notTainted
+  B.addOptimization(Buggy.Opt);
+  B.addOptimization(opts::loadCse());
+  std::shared_ptr<api::CobaltService> Svc = B.build();
+  const LabelRegistry &Registry = Svc->registry();
+  auto Check = [&Svc](const std::string &Name) {
+    api::CheckRequest Req;
+    Req.Only = {Name};
+    return Svc->check(Req).Suite.Reports.front();
+  };
 
   // ------------------------------------------------------------------
   // The program that exposes the bug: p points to y, so `y := 7`
@@ -79,7 +87,7 @@ int main() {
   // 2. What the checker SAYS, before any program is ever compiled: the
   //    preservation obligation fails, with a counterexample context.
   // ------------------------------------------------------------------
-  checker::CheckReport Bad = Ctx.check(Buggy.Opt);
+  checker::CheckReport Bad = Check(Buggy.Opt.Name);
   std::printf("checking the buggy version: %s\n",
               Bad.Sound ? "SOUND (?!)" : "rejected");
   for (const auto &Ob : Bad.Obligations)
@@ -87,9 +95,14 @@ int main() {
       std::printf("  %s failed — the witnessing region does not preserve "
                   "eta(X) = eta(*P)\n",
                   Ob.Name.c_str());
+      // The model's first line only: a cut inside a multi-line model
+      // could end on a line break and leave the "..." dangling.
       if (!Ob.Counterexample.empty())
         std::printf("  counterexample context: %s...\n",
-                    Ob.Counterexample.substr(0, 140).c_str());
+                    Ob.Counterexample
+                        .substr(0, std::min<size_t>(
+                                       140, Ob.Counterexample.find('\n')))
+                        .c_str());
       break;
     }
 
@@ -99,7 +112,7 @@ int main() {
   //    fixed version is proven sound, and on this program it simply
   //    fires nowhere (y is tainted).
   // ------------------------------------------------------------------
-  checker::CheckReport Good = Ctx.check(opts::loadCse());
+  checker::CheckReport Good = Check(opts::loadCse().Name);
   std::printf("\nchecking the fixed version: %s (%.2f s)\n",
               Good.Sound ? "SOUND" : "rejected", Good.TotalSeconds);
 

@@ -10,16 +10,20 @@
 /// submission is rejected with the failing obligation and a
 /// counterexample context; the trusted computing base never grows (§6).
 ///
-/// The whole compiler is a thin shell around one `api::CobaltContext`:
-/// parsing, proving, and the pass pipeline all live behind the facade.
+/// The whole compiler is a thin shell around `api::CobaltService`:
+/// parsing, proving, and the pass pipeline all live behind it. A
+/// submitted rule is proven on a candidate service (the admitted rules
+/// plus the newcomer); only a proven rule's candidate becomes the
+/// compiler's service.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "ir/Interp.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 
+#include <algorithm>
 #include <cstdio>
 
 using namespace cobalt;
@@ -29,48 +33,65 @@ namespace {
 /// The "compiler": admits an optimization only if the checker proves it.
 class ExtensibleCompiler {
 public:
-  ExtensibleCompiler() : Ctx(makeConfig()) {}
+  ExtensibleCompiler() : Svc(build({})) {}
 
   bool submit(const std::string &CobaltSource) {
-    auto Module = Ctx.parseModule(CobaltSource);
+    auto Module = Svc->parseModule(CobaltSource);
     if (!Module) {
       std::printf("  parse error:\n%s\n", Module.error().Message.c_str());
       return false;
     }
     for (Optimization &O : Module->Optimizations) {
-      // The rule's labels must be in the registry before the checker can
-      // interpret its guards; registration of the rule itself waits
-      // until the proof succeeds.
-      for (const LabelDef &Def : O.Labels)
-        Ctx.defineLabel(Def);
-      checker::CheckReport Report = Ctx.check(O);
+      // Registering the rule brings its labels into the candidate's
+      // registry, so the checker can interpret its guards.
+      std::vector<Optimization> Candidate = Svc->optimizations();
+      Candidate.push_back(O);
+      std::shared_ptr<api::CobaltService> Next = build(Candidate);
+      api::CheckRequest Req;
+      Req.Only = {O.Name};
+      checker::CheckReport Report = Next->check(Req).Suite.Reports.front();
       if (!Report.Sound) {
         std::printf("  REJECTED %s:\n", O.Name.c_str());
+        // Each model's first line only: a cut inside a multi-line model
+        // could end on a line break and print an empty line.
         for (const auto &Ob : Report.Obligations)
           if (!Ob.proven())
-            std::printf("    obligation %s failed%s%s\n", Ob.Name.c_str(),
-                        Ob.Counterexample.empty() ? "" : ": ",
-                        Ob.Counterexample.substr(0, 160).c_str());
+            std::printf(
+                "    obligation %s failed%s%s\n", Ob.Name.c_str(),
+                Ob.Counterexample.empty() ? "" : ": ",
+                Ob.Counterexample
+                    .substr(0, std::min<size_t>(
+                                   160, Ob.Counterexample.find('\n')))
+                    .c_str());
         return false;
       }
       std::printf("  ADMITTED %s (%zu obligations, %.2f s)\n",
                   O.Name.c_str(), Report.Obligations.size(),
                   Report.TotalSeconds);
-      Ctx.addOptimization(std::move(O));
+      Svc = std::move(Next);
     }
     return true;
   }
 
-  void compile(ir::Program &Prog) { Ctx.runPipeline(Prog); }
-
-private:
-  static api::CobaltConfig makeConfig() {
-    api::CobaltConfig Config;
-    Config.Prover.TimeoutMs = 4000;
-    return Config;
+  ir::Program compile(ir::Program Prog) {
+    api::PipelineRequest Req;
+    Req.Prog = std::move(Prog);
+    return Svc->run(std::move(Req)).Prog;
   }
 
-  api::CobaltContext Ctx;
+private:
+  static std::shared_ptr<api::CobaltService>
+  build(const std::vector<Optimization> &Opts) {
+    api::CobaltConfig Config;
+    Config.Prover.TimeoutMs = 4000;
+    api::CobaltService::Builder B;
+    B.config(Config);
+    for (const Optimization &O : Opts)
+      B.addOptimization(O);
+    return B.build();
+  }
+
+  std::shared_ptr<api::CobaltService> Svc;
 };
 
 } // namespace
@@ -132,7 +153,7 @@ int main() {
   )");
   std::printf("compiling with the admitted pass:\nbefore:\n%s\n",
               ir::toString(Prog).c_str());
-  Compiler.compile(Prog);
+  Prog = Compiler.compile(std::move(Prog));
   std::printf("after:\n%s\n", ir::toString(Prog).c_str());
 
   ir::Interpreter Interp(Prog);

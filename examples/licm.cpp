@@ -21,7 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "ir/Interp.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
@@ -63,24 +63,28 @@ int main() {
       return s;
     }
   )");
-  ir::Program Original = Prog;
   std::printf("input (t := a * b recomputed in the loop):\n%s\n",
               ir::toString(Prog).c_str());
 
-  api::CobaltContext Ctx;
-  Ctx.addOptimization(opts::preDuplicate());
-  Ctx.addOptimization(opts::cse());
-  Ctx.addOptimization(opts::selfAssignRemoval());
-  for (const engine::PassReport &R : Ctx.runPipeline(Prog).Reports)
+  std::shared_ptr<api::CobaltService> Svc =
+      api::CobaltService::Builder()
+          .addOptimization(opts::preDuplicate())
+          .addOptimization(opts::cse())
+          .addOptimization(opts::selfAssignRemoval())
+          .build();
+  api::PipelineRequest Req;
+  Req.Prog = Prog; // the original stays for the comparison below
+  api::PipelineResponse Run = Svc->run(std::move(Req));
+  for (const engine::PassReport &R : Run.Result.Reports)
     std::printf("pass %-22s legal=%u applied=%u\n", R.PassName.c_str(),
                 R.DeltaSize, R.AppliedCount);
 
   std::printf("\nafter (the multiply hoisted to the preheader; the loop "
               "body is multiplication-free):\n%s\n",
-              ir::toString(Prog).c_str());
+              ir::toString(Run.Prog).c_str());
 
   for (int64_t Input : {0, 1, 5}) {
-    ir::Interpreter IO(Original), IT(Prog);
+    ir::Interpreter IO(Prog), IT(Run.Prog);
     ir::RunResult RO = IO.run(Input), RT = IT.run(Input);
     std::printf("main(%lld): original %s, optimized %s %s\n",
                 static_cast<long long>(Input), RO.str().c_str(),

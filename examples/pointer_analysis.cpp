@@ -10,15 +10,15 @@
 /// notTainted labels and contrast plain constant propagation (killed by
 /// the pointer store) with the precise variant (survives it).
 ///
-/// The registration and the analysis run go through `api::CobaltContext`;
-/// the contrast at the end drives the engine's free functions directly
-/// through the context's component accessors (the incremental-migration
-/// path for embedders that still need the low-level API).
+/// Nothing here is proven, so the example drives the engine's
+/// `PassManager` directly: it registers the labels and the analysis,
+/// runs it, and reads the per-node labeling back with labelingFor(). The
+/// contrast at the end calls the engine's free functions.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
 #include "engine/Engine.h"
+#include "engine/PassManager.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "opts/Labels.h"
@@ -30,10 +30,10 @@ using namespace cobalt;
 using namespace cobalt::engine;
 
 int main() {
-  api::CobaltContext Ctx;
+  PassManager PM;
   for (const LabelDef &Def : opts::standardLabels())
-    Ctx.defineLabel(Def);
-  Ctx.addAnalysis(opts::taintAnalysis()); // declares the notTainted label
+    PM.defineLabel(Def);
+  PM.addAnalysis(opts::taintAnalysis()); // declares the notTainted label
 
   ir::Program Prog = ir::parseProgramOrDie(R"(
     proc main(x) {
@@ -53,10 +53,9 @@ int main() {
               ir::toString(Prog).c_str());
 
   // Run the pure analysis and show its labeling of the CFG (§3.2.3).
-  api::PipelineResult Run = Ctx.runPipeline(Prog);
-  const Labeling &Labels = *Ctx.passes().labelingFor("main");
-  std::printf("taint analysis added %u labels:\n",
-              Run.Reports.front().DeltaSize);
+  std::vector<PassReport> Reports = PM.run(Prog);
+  const Labeling &Labels = *PM.labelingFor("main");
+  std::printf("taint analysis added %u labels:\n", Reports.front().DeltaSize);
   for (int I = 0; I < Main.size(); ++I) {
     std::printf("  %2d: %-18s", I,
                 ir::toString(Main.stmtAt(I)).c_str());
@@ -70,7 +69,7 @@ int main() {
   {
     ir::Program P1 = Prog;
     RunStats S1 = runOptimization(opts::constProp(), *P1.findProc("main"),
-                                  Ctx.registry(), nullptr);
+                                  PM.registry(), nullptr);
     std::printf("\nconservative const_prop: %u rewrite(s) "
                 "(*p := x may define a)\n",
                 S1.AppliedCount);
@@ -78,7 +77,7 @@ int main() {
     ir::Program P2 = Prog;
     RunStats S2 =
         runOptimization(opts::constPropPrecise(), *P2.findProc("main"),
-                        Ctx.registry(), &Labels);
+                        PM.registry(), &Labels);
     std::printf("precise const_prop_precise: %u rewrite(s):\n%s",
                 S2.AppliedCount, ir::toString(P2).c_str());
   }

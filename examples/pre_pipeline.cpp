@@ -18,7 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "ir/Interp.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
@@ -49,24 +49,28 @@ int main() {
       return x;
     }
   )");
-  ir::Program Original = Prog;
   std::printf("input (x := a + b at the join is PARTIALLY redundant):\n%s\n",
               ir::toString(Prog).c_str());
 
-  api::CobaltContext Ctx;
-  Ctx.addOptimization(opts::preDuplicate());
-  Ctx.addOptimization(opts::cse());
-  Ctx.addOptimization(opts::selfAssignRemoval());
+  std::shared_ptr<api::CobaltService> Svc =
+      api::CobaltService::Builder()
+          .addOptimization(opts::preDuplicate())
+          .addOptimization(opts::cse())
+          .addOptimization(opts::selfAssignRemoval())
+          .build();
 
-  for (const engine::PassReport &R : Ctx.runPipeline(Prog).Reports)
+  api::PipelineRequest Req;
+  Req.Prog = Prog; // the original stays for the comparison below
+  api::PipelineResponse Run = Svc->run(std::move(Req));
+  for (const engine::PassReport &R : Run.Result.Reports)
     std::printf("pass %-22s legal=%u applied=%u\n", R.PassName.c_str(),
                 R.DeltaSize, R.AppliedCount);
 
   std::printf("\nresult (the else leg computes it; the join is clean):\n%s\n",
-              ir::toString(Prog).c_str());
+              ir::toString(Run.Prog).c_str());
 
   for (int64_t Input : {0, 1, 7}) {
-    ir::Interpreter IO(Original), IT(Prog);
+    ir::Interpreter IO(Prog), IT(Run.Prog);
     ir::RunResult RO = IO.run(Input), RT = IT.run(Input);
     std::printf("main(%lld): original %s, optimized %s %s\n",
                 static_cast<long long>(Input), RO.str().c_str(),

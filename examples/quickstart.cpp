@@ -12,15 +12,15 @@
 ///      input program;
 ///   3. run it through the execution engine on a program.
 ///
-/// Everything goes through one `api::CobaltContext`: it owns the label
-/// registry, the prover, the pass manager, and (when configured) the
+/// Everything goes through one `api::CobaltService`: it owns the label
+/// registry, the prover, the pass pipeline, and (when configured) the
 /// thread pool and the persistent verdict cache.
 ///
 /// Build and run:  ./build/examples/quickstart
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "core/Builder.h"
 #include "ir/Interp.h"
 #include "ir/Printer.h"
@@ -58,9 +58,10 @@ int main() {
   //    With Config.Jobs > 1 the obligations fan out over a thread pool;
   //    the report is bit-identical either way.
   // ------------------------------------------------------------------
-  api::CobaltContext Ctx;
-  Ctx.addOptimization(ConstProp);
-  checker::CheckReport Report = Ctx.check(ConstProp);
+  std::shared_ptr<api::CobaltService> Svc =
+      api::CobaltService::Builder().addOptimization(ConstProp).build();
+  api::CheckResponse Gate = Svc->check(api::CheckRequest{});
+  const checker::CheckReport &Report = Gate.Suite.Reports.front();
   std::printf("soundness check: %s\n\n", Report.str().c_str());
   if (!Report.Sound)
     return 1;
@@ -69,7 +70,7 @@ int main() {
   // 3. Run it (paper §5.2). The engine evaluates all instances of the
   //    pattern simultaneously with a substitution-set dataflow analysis.
   // ------------------------------------------------------------------
-  auto Prog = Ctx.parseProgram(R"(
+  auto Prog = Svc->parseProgram(R"(
     proc main(x) {
       decl a;
       decl b;
@@ -86,12 +87,17 @@ int main() {
   }
   std::printf("before:\n%s\n", ir::toString(*Prog).c_str());
 
-  api::PipelineResult Run = Ctx.runPipeline(*Prog);
-  std::printf("after %u rewrite(s):\n%s\n", Run.Applied,
-              ir::toString(*Prog).c_str());
+  // Only proven passes run: the extensible-compiler gate (§1/§6).
+  api::PipelineRequest Req;
+  Req.Prog = std::move(*Prog);
+  Req.PassNames = Gate.Suite.provenPassNames();
+  Req.SelectedOnly = true;
+  api::PipelineResponse Run = Svc->run(std::move(Req));
+  std::printf("after %u rewrite(s):\n%s\n", Run.Result.Applied,
+              ir::toString(Run.Prog).c_str());
 
   // The program still computes the same thing.
-  ir::Interpreter Interp(*Prog);
+  ir::Interpreter Interp(Run.Prog);
   ir::RunResult R = Interp.run(0);
   std::printf("main(0) = %s\n", R.str().c_str());
   return 0;

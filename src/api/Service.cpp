@@ -7,10 +7,13 @@
 #include "api/Service.h"
 
 #include "ir/Parser.h"
+#include "opts/StdlibCobalt.h"
 #include "support/PersistentCache.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
+#include <fstream>
+#include <sstream>
 
 using namespace cobalt;
 using namespace cobalt::api;
@@ -85,9 +88,9 @@ CobaltService::Builder::addModule(CobaltModule Module) {
 std::shared_ptr<CobaltService> CobaltService::Builder::build() {
   // make_shared cannot reach the private ctor; the explicit new is fine
   // for a build-once object.
-  return std::shared_ptr<CobaltService>(new CobaltService(
-      std::move(Cfg), std::move(Labels), std::move(Analyses),
-      std::move(Optimizations), ExternalTelem));
+  return std::shared_ptr<CobaltService>(
+      new CobaltService(std::move(Cfg), std::move(Labels),
+                        std::move(Analyses), std::move(Optimizations)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -96,8 +99,7 @@ std::shared_ptr<CobaltService> CobaltService::Builder::build() {
 
 CobaltService::CobaltService(CobaltConfig C, std::vector<LabelDef> Ls,
                              std::vector<PureAnalysis> As,
-                             std::vector<Optimization> Os,
-                             support::Telemetry *ExternalTelemetry)
+                             std::vector<Optimization> Os)
     : Config(std::move(C)), Labels(std::move(Ls)), Analyses(std::move(As)),
       Optimizations(std::move(Os)),
       Pool(std::make_unique<support::ThreadPool>(Config.Jobs)),
@@ -118,11 +120,8 @@ CobaltService::CobaltService(CobaltConfig C, std::vector<LabelDef> Ls,
   else
     Cache->openMemory();
 
-  if (ExternalTelemetry) {
-    Telem = ExternalTelemetry;
-  } else if (Config.Telemetry && support::telemetryCompiledIn()) {
-    OwnedTelem = std::make_unique<support::Telemetry>();
-    Telem = OwnedTelem.get();
+  if (Config.Telemetry) {
+    Telem = std::make_unique<support::Telemetry>();
     preregisterHeadlineCounters(*Telem);
   }
 
@@ -136,23 +135,61 @@ CobaltService::CobaltService(CobaltConfig C, std::vector<LabelDef> Ls,
 CobaltService::~CobaltService() = default;
 
 //===----------------------------------------------------------------------===//
-// Parsing helpers.
+// Parsing and loading.
 //===----------------------------------------------------------------------===//
 
-support::Expected<CobaltModule>
-CobaltService::parseModule(std::string_view Text) const {
+namespace {
+
+support::Expected<CobaltModule> parseModuleText(std::string_view Text) {
   DiagnosticEngine Diags;
   if (std::optional<CobaltModule> M = parseCobalt(Text, Diags))
     return std::move(*M);
   return support::Error(ErrorKind::EK_ParseError, Diags.str());
 }
 
-support::Expected<ir::Program>
-CobaltService::parseProgram(std::string_view Text) const {
+support::Expected<ir::Program> parseProgramText(std::string_view Text) {
   DiagnosticEngine Diags;
   if (std::optional<ir::Program> P = ir::parseProgram(Text, Diags))
     return std::move(*P);
   return support::Error(ErrorKind::EK_ParseError, Diags.str());
+}
+
+support::Expected<std::string> readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  if (!In)
+    return support::Error(ErrorKind::EK_IoError,
+                          "cannot read '" + Path + "'");
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
+} // namespace
+
+support::Expected<CobaltModule>
+CobaltService::parseModule(std::string_view Text) const {
+  return parseModuleText(Text);
+}
+
+support::Expected<ir::Program>
+CobaltService::parseProgram(std::string_view Text) const {
+  return parseProgramText(Text);
+}
+
+support::Expected<CobaltModule> api::loadModule(const std::string &Path) {
+  if (Path == "stdlib")
+    return parseModuleText(opts::StdlibCobaltSource);
+  support::Expected<std::string> Text = readFile(Path);
+  if (!Text)
+    return Text.error();
+  return parseModuleText(*Text);
+}
+
+support::Expected<ir::Program> api::loadProgram(const std::string &Path) {
+  support::Expected<std::string> Text = readFile(Path);
+  if (!Text)
+    return Text.error();
+  return parseProgramText(*Text);
 }
 
 //===----------------------------------------------------------------------===//
@@ -206,7 +243,7 @@ void CobaltService::configureChecker(checker::SoundnessChecker &Checker,
 }
 
 CheckResponse CobaltService::check(const CheckRequest &Req) {
-  support::TelemetryScope Scope(Telem);
+  support::TelemetryScope Scope(Telem.get());
   // Every span below (and every worker span across the fork) carries the
   // request's trace ID via the ambient TLS scope — established before
   // the first span is born.
@@ -308,8 +345,8 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
                             " definition(s) served from dedup memo");
 
   // Prove the leader set on a fresh per-request checker. checkSuite fans
-  // every leader definition's obligations out at once, so the request
-  // keeps the old facade's maximal-overlap schedule.
+  // every leader definition's obligations out at once, so one request
+  // overlaps all of its obligations.
   if (!Leaders.empty()) {
     std::vector<PureAnalysis> LeadAs;
     std::vector<Optimization> LeadOs;
@@ -400,12 +437,16 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
 
   // Collect every report in input order (leaders resolve instantly from
   // their own futures; waiters block on their leader's).
-  Resp.Suite.Reports.reserve(Targets.size());
+  std::vector<checker::CheckReport> Reports;
+  Reports.reserve(Targets.size());
   unsigned Served = 0;
+  size_t AnalysisCount = 0;
   for (size_t I = 0; I < Targets.size(); ++I) {
-    Resp.Suite.Reports.push_back(*Futures[I].get());
+    Reports.push_back(*Futures[I].get());
     if (IsWaiter[I])
       ++Served;
+    if (Targets[I].IsAnalysis)
+      ++AnalysisCount;
   }
   if (Served != 0) {
     support::metricAdd("service.dedup.served", Served);
@@ -413,49 +454,51 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
     TotalCacheHits += Served;
   }
 
-  // Suite assembly: counts, the §6 assumed-analysis gate, and the
-  // quarantined-obligation remarks — all pure functions of the reports,
-  // so every client of the same reports derives the same summary.
-  size_t AnalysisCount = 0;
-  for (const Target &T : Targets)
-    AnalysisCount += T.IsAnalysis ? 1 : 0;
-  for (size_t I = 0; I < Resp.Suite.Reports.size(); ++I) {
-    const checker::CheckReport &R = Resp.Suite.Reports[I];
+  Resp.Suite = assembleSuite(std::move(Reports), AnalysisCount, Resp.Remarks);
+  return Resp;
+}
+
+SuiteResult api::assembleSuite(std::vector<checker::CheckReport> Reports,
+                               size_t AnalysisCount,
+                               std::vector<support::Remark> &Remarks) {
+  SuiteResult Suite;
+  Suite.Reports = std::move(Reports);
+  for (size_t I = 0; I < Suite.Reports.size(); ++I) {
+    const checker::CheckReport &R = Suite.Reports[I];
     if (R.V == checker::CheckReport::Verdict::V_Unsound)
-      ++Resp.Suite.Unsound;
+      ++Suite.Unsound;
     else if (R.V == checker::CheckReport::Verdict::V_Unproven)
-      ++Resp.Suite.Unproven;
+      ++Suite.Unproven;
     unsigned QuarantinedObs = 0;
     for (const checker::ObligationResult &Ob : R.Obligations)
       if (Ob.Err.Kind == ErrorKind::EK_WorkerCrash)
         ++QuarantinedObs;
     if (QuarantinedObs != 0) {
-      ++Resp.Suite.Quarantined;
+      ++Suite.Quarantined;
       support::Remark Rem;
       Rem.K = support::Remark::Kind::RK_Missed;
       Rem.Pass = R.Name;
       Rem.Note = std::to_string(QuarantinedObs) +
                  " obligation(s) quarantined after repeated prover-"
                  "worker failures; verdict degraded to unproven";
-      Resp.Remarks.push_back(std::move(Rem));
+      Remarks.push_back(std::move(Rem));
     }
     if (I < AnalysisCount) {
       if (R.Sound)
-        Resp.Suite.ProvenAnalyses.insert(R.Name);
+        Suite.ProvenAnalyses.insert(R.Name);
       continue;
     }
     // The optimization's guarantee is conditional on its assumed
     // analyses being proven themselves (§6).
     bool AnalysesOk = true;
     for (const std::string &Dep : R.AssumedAnalyses)
-      AnalysesOk =
-          AnalysesOk && Resp.Suite.ProvenAnalyses.count(Dep) != 0;
+      AnalysesOk = AnalysesOk && Suite.ProvenAnalyses.count(Dep) != 0;
     if (R.Sound && AnalysesOk)
-      Resp.Suite.ProvenOptimizations.insert(R.Name);
+      Suite.ProvenOptimizations.insert(R.Name);
     else if (R.Sound)
-      Resp.Suite.Conditional.push_back(R.Name);
+      Suite.Conditional.push_back(R.Name);
   }
-  return Resp;
+  return Suite;
 }
 
 unsigned CobaltService::cacheHits() const {
@@ -498,7 +541,7 @@ int CobaltService::exitCodeFor(const validate::ValidationReport &Report) {
 //===----------------------------------------------------------------------===//
 
 ValidateResponse CobaltService::validate(ValidateRequest Req) {
-  support::TelemetryScope Scope(Telem);
+  support::TelemetryScope Scope(Telem.get());
   const uint64_t TraceId =
       Req.TraceId ? Req.TraceId : support::mintTraceId();
   support::TraceIdScope IdScope(TraceId);
@@ -597,7 +640,7 @@ ValidateResponse CobaltService::validate(ValidateRequest Req) {
 //===----------------------------------------------------------------------===//
 
 PipelineResponse CobaltService::run(PipelineRequest Req) {
-  support::TelemetryScope Scope(Telem);
+  support::TelemetryScope Scope(Telem.get());
   const uint64_t TraceId =
       Req.TraceId ? Req.TraceId : support::mintTraceId();
   support::TraceIdScope IdScope(TraceId);

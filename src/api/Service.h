@@ -5,11 +5,24 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The request-oriented core of verification-as-a-service (DESIGN.md
-/// §13). The old `CobaltContext` was a one-shot, single-client object:
-/// `check`/`runPipeline` mutated shared checker and pass-manager state in
-/// place, so two concurrent callers would race. This header splits that
-/// facade along the immutable/mutable line:
+/// The public API of the reproduction (DESIGN.md §13): one immutable
+/// service plus cheap per-call request values. A driver loads a module,
+/// builds the service, proves, and runs only the proven subset — the
+/// extensible-compiler gate of paper §1/§6:
+///
+/// \code
+///   auto Module = api::loadModule("opts.cob");   // or "stdlib"
+///   auto Svc = api::CobaltService::Builder()
+///                  .config(Config)
+///                  .addModule(std::move(*Module))
+///                  .build();                      // shared_ptr, immutable
+///   api::CheckResponse Gate = Svc->check({});     // from any thread
+///   api::PipelineRequest Req;
+///   Req.Prog = std::move(*api::loadProgram("prog.il"));
+///   Req.PassNames = Gate.Suite.provenPassNames();
+///   Req.SelectedOnly = true;
+///   api::PipelineResponse Out = Svc->run(std::move(Req));
+/// \endcode
 ///
 ///  * **CobaltService** — everything that is expensive and shareable,
 ///    frozen at build() time: the registered definitions and label
@@ -97,8 +110,7 @@ struct CobaltConfig {
   /// Collect metrics and trace spans for this service's operations (the
   /// substrate behind cobaltc --trace-out/--metrics-out). Off by
   /// default: with it off, instrumentation sites cost one relaxed atomic
-  /// load each. Ignored (always off) when the telemetry layer was
-  /// compiled out with -DCOBALT_TELEMETRY=OFF.
+  /// load each.
   bool Telemetry = false;
   /// Admission bound: maximum obligations in flight across all requests
   /// (0 = unlimited). A check request that would exceed it receives
@@ -237,7 +249,7 @@ struct ValidateResponse {
   bool ok() const { return Status == ResponseStatus::RS_Ok; }
 };
 
-/// The immutable, shareable half of the old facade. Build once (via
+/// The immutable, shareable verification service. Build once (via
 /// Builder), then issue requests from any number of threads; per-request
 /// state (checkers, pass managers) is constructed fresh inside each call
 /// and the shared state (verdict cache, dedup memo, counters) is
@@ -300,10 +312,11 @@ public:
   /// Definitions served from any cache tier or from the dedup memo,
   /// across the service's lifetime.
   unsigned cacheHits() const;
-  /// The telemetry session (owned or adopted), or nullptr when off.
-  support::Telemetry *telemetry() { return Telem; }
-  /// The prototype checker (service defaults, shared cache attached).
-  /// Single-threaded compat access only — requests never touch it.
+  /// The telemetry session, or nullptr when Config.Telemetry is off.
+  support::Telemetry *telemetry() { return Telem.get(); }
+  /// The prototype checker (service defaults, shared cache attached),
+  /// for single-threaded drivers that call the checker directly (the
+  /// validation adversary). Requests never touch it.
   checker::SoundnessChecker &prover() { return *Proto; }
   /// @}
 
@@ -320,8 +333,7 @@ public:
 private:
   friend class Builder;
   CobaltService(CobaltConfig C, std::vector<LabelDef> Labels,
-                std::vector<PureAnalysis> As, std::vector<Optimization> Os,
-                support::Telemetry *ExternalTelemetry);
+                std::vector<PureAnalysis> As, std::vector<Optimization> Os);
 
   /// One definition to prove, resolved against the registered vectors.
   struct Target {
@@ -347,8 +359,7 @@ private:
   std::vector<Optimization> Optimizations;
   std::unique_ptr<support::ThreadPool> Pool;
   std::shared_ptr<support::PersistentCache> Cache;
-  std::unique_ptr<support::Telemetry> OwnedTelem;
-  support::Telemetry *Telem = nullptr; ///< Owned or adopted.
+  std::unique_ptr<support::Telemetry> Telem;
   std::unique_ptr<checker::SoundnessChecker> Proto;
 
   /// Guards the dedup memo, the admission ledger, and the obligation
@@ -404,13 +415,6 @@ public:
   /// Registers everything a parsed module defines (labels, analyses,
   /// optimizations, in that order).
   Builder &addModule(CobaltModule Module);
-  /// Adopt an external telemetry session (non-owning; must outlive the
-  /// service) instead of having the service create its own. Used by the
-  /// compat CobaltContext so metrics survive service rebuilds.
-  Builder &telemetry(support::Telemetry *T) {
-    ExternalTelem = T;
-    return *this;
-  }
 
   /// Freezes everything into an immutable shared service.
   std::shared_ptr<CobaltService> build();
@@ -420,8 +424,26 @@ private:
   std::vector<LabelDef> Labels;
   std::vector<PureAnalysis> Analyses;
   std::vector<Optimization> Optimizations;
-  support::Telemetry *ExternalTelem = nullptr;
 };
+
+/// Suite assembly: the verdict counts, the §6 assumed-analysis gate
+/// (an optimization proven under an unproven analysis lands in
+/// Conditional, not ProvenOptimizations), and one missed remark per
+/// definition with quarantined obligations, appended to \p Remarks.
+/// \p Reports lists the analyses first (\p AnalysisCount of them), then
+/// the optimizations. A pure function of the reports, so a driver that
+/// proves definitions one request at a time derives the same summary as
+/// one batched CobaltService::check.
+SuiteResult assembleSuite(std::vector<checker::CheckReport> Reports,
+                          size_t AnalysisCount,
+                          std::vector<support::Remark> &Remarks);
+
+/// Reads and parses a .cob module file; the path "stdlib" names the
+/// bundled standard module. EK_IoError / EK_ParseError on failure.
+support::Expected<CobaltModule> loadModule(const std::string &Path);
+
+/// Reads and parses an IL program file (EK_IoError / EK_ParseError).
+support::Expected<ir::Program> loadProgram(const std::string &Path);
 
 /// Pre-registers the headline counters at zero on \p T so every metrics
 /// dump carries the full schema — a check-only run still shows

@@ -57,8 +57,8 @@ struct PassReport {
                             ///< failures.
   /// Optimization remarks for this (pass, procedure): one per applied
   /// site, one per legal-but-missed site, and one rolled-back/missed
-  /// remark on failure or quarantine. Plain data, independent of the
-  /// COBALT_TELEMETRY switch; ordering is deterministic (sites in
+  /// remark on failure or quarantine. Plain data, produced whether or not
+  /// a telemetry session is installed; ordering is deterministic (sites in
   /// application / index order) and survives the procedure-order merge.
   std::vector<support::Remark> Remarks;
 
@@ -125,7 +125,7 @@ public:
                                  ir::Program &Prog);
 
   /// Runs the subset of registered passes whose names appear in \p Names,
-  /// preserving registration order (the CobaltContext pipeline API).
+  /// preserving registration order (PipelineRequest::SelectedOnly).
   std::vector<PassReport> runSelected(const std::vector<std::string> &Names,
                                       ir::Program &Prog);
 

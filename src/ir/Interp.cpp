@@ -245,7 +245,7 @@ StepResult Interpreter::step(ExecState &St) {
   if (const auto *D = std::get_if<DeclStmt>(&S.V)) {
     // decl x: bind x to a fresh location. The fresh cell starts as the
     // integer 0 so execution is deterministic; the checker's axioms make
-    // the same choice (see checker/SemanticsAxioms.cpp).
+    // the same choice (see Encoder::encodeStep in checker/Encoder.cpp).
     LocT L = St.NextLoc++;
     St.Env[D->Name.Name] = L;
     St.Store[L] = Value::intV(0);

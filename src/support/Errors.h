@@ -53,8 +53,8 @@ enum class ErrorKind {
   EK_Quarantined,     ///< The pass was skipped: it failed too many
                       ///< consecutive times and is quarantined.
 
-  // Front-end / environment failures surfaced through the CobaltContext
-  // facade (Expected<T> carriers). These map to the CLI's usage exit
+  // Front-end / environment failures surfaced by the api loaders and
+  // parsers (Expected<T> carriers). These map to the CLI's usage exit
   // code, not to the degraded exit code.
   EK_ParseError, ///< A .cob module or .il program failed to parse.
   EK_IoError,    ///< A file could not be read or written.

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The one result shape threaded through checker, engine, parsers, and
-/// the `CobaltContext` facade. Before this header, every layer invented
+/// the `api` loaders. Before this header, every layer invented
 /// its own `(bool, ErrorKind, string)` triple — ObligationResult carried
 /// `Err` + `UnknownReason`, PassReport carried `Error` + `ErrorDetail`,
 /// parsers returned `optional<T>` with the message hidden in a
@@ -17,7 +17,7 @@
 ///    (an EK_None kind means "no failure").
 ///  * `support::Expected<T>` is the carrier of *either a T or an Error*,
 ///    for operations that produce a value or fail as a whole (parsing a
-///    module, reading a file, building a context).
+///    module, reading a file).
 ///
 /// Both are deliberately minimal — no exceptions, no virtual anything —
 /// so they can cross thread-pool job boundaries by value.

@@ -21,7 +21,7 @@ using namespace cobalt;
 using namespace cobalt::support;
 
 //===----------------------------------------------------------------------===//
-// Remark (compiled unconditionally).
+// Remark.
 //===----------------------------------------------------------------------===//
 
 std::string Remark::str() const {
@@ -35,9 +35,7 @@ std::string Remark::str() const {
 }
 
 //===----------------------------------------------------------------------===//
-// HistogramStats buckets and trace-ID minting (compiled unconditionally:
-// protocol frames carry trace IDs even in -DCOBALT_TELEMETRY=OFF builds,
-// and the stats type is shared with the null sink).
+// HistogramStats buckets and trace-ID minting.
 //===----------------------------------------------------------------------===//
 
 unsigned HistogramStats::bucketFor(double Value) {
@@ -90,8 +88,6 @@ uint64_t support::mintTraceId() {
   X ^= X >> 31;
   return X ? X : 1;
 }
-
-#if COBALT_TELEMETRY
 
 namespace {
 
@@ -644,5 +640,3 @@ std::string FlightRecorder::json(const char *Reason) const {
 //===----------------------------------------------------------------------===//
 
 std::atomic<Telemetry *> Telemetry::Active{nullptr};
-
-#endif // COBALT_TELEMETRY

@@ -23,8 +23,8 @@
 ///  * **Remark** — LLVM-style optimization remarks (passed / missed /
 ///    rolled-back, with rule name, CFG node, and the `choose` decision).
 ///    Remarks are plain data carried inside `engine::PassReport` — they
-///    are *not* gated by the telemetry compile switch, and their ordering
-///    is the deterministic report order, not event arrival order.
+///    flow whether or not a session is installed, and their ordering is
+///    the deterministic report order, not event arrival order.
 ///
 ///  * **FlightRecorder** — an always-on ring of recent structured events
 ///    (admissions, dedup leadership, worker lifecycle, quarantine): the
@@ -39,19 +39,14 @@
 /// ## The disabled fast path
 ///
 /// Telemetry is ambient: one process-wide `Telemetry *` installed by a
-/// `TelemetryScope` (the CobaltContext installs its own instance around
-/// every check / pipeline call). Every instrumentation site performs
+/// `TelemetryScope` (a CobaltService with telemetry on installs its own
+/// session around every request). Every instrumentation site performs
 /// exactly one relaxed atomic load and one branch when no telemetry is
 /// installed — no string building, no allocation, no locking. A
 /// `TraceSpan` constructed while disabled holds a null recorder and its
 /// destructor is a single null test. Span names are static strings;
 /// anything dynamic goes into args, which are only materialized behind
 /// the `enabled()` branch.
-///
-/// Building with `-DCOBALT_TELEMETRY=OFF` compiles the whole layer down
-/// to empty inline stubs (`Telemetry::active()` is a constexpr nullptr,
-/// so the guarded branches fold away); a static_assert below pins the
-/// null-sink `TraceSpan` to an empty class in that configuration.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,24 +61,14 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <type_traits>
 #include <utility>
 #include <vector>
-
-#ifndef COBALT_TELEMETRY
-#define COBALT_TELEMETRY 1
-#endif
 
 namespace cobalt {
 namespace support {
 
-/// True when the telemetry layer is compiled in (-DCOBALT_TELEMETRY=ON,
-/// the default). CLIs use this to warn when --trace-out is requested
-/// from a build whose null-sink path was compiled out.
-constexpr bool telemetryCompiledIn() { return COBALT_TELEMETRY != 0; }
-
 //===----------------------------------------------------------------------===//
-// Optimization remarks (plain data; never compiled out).
+// Optimization remarks (plain data).
 //===----------------------------------------------------------------------===//
 
 /// One optimization remark: what a rule did (or did not do) at a CFG
@@ -149,12 +134,10 @@ struct HistogramStats {
 };
 
 /// Mints a process-unique 64-bit request trace ID (never 0): a splitmix
-/// of a process-global counter, the pid, and the monotonic clock. Not
-/// gated by the telemetry compile switch — protocol frames carry trace
-/// IDs even when the local build records nothing.
+/// of a process-global counter, the pid, and the monotonic clock.
+/// Independent of any session — protocol frames carry trace IDs even
+/// when the local process records nothing.
 uint64_t mintTraceId();
-
-#if COBALT_TELEMETRY
 
 //===----------------------------------------------------------------------===//
 // MetricsRegistry.
@@ -375,8 +358,7 @@ private:
 /// One telemetry session: a metrics registry plus a trace recorder.
 /// Install with TelemetryScope; instrumentation sites reach it through
 /// Telemetry::active(). Remarks do NOT flow through here — they ride in
-/// PassReports and are delivered in deterministic report order by the
-/// CobaltContext.
+/// PassReports and CheckResponses, in deterministic report order.
 class Telemetry {
 public:
   MetricsRegistry Metrics;
@@ -399,7 +381,8 @@ private:
 /// RAII installer for the ambient Telemetry. Passing nullptr is a no-op
 /// (an enclosing scope, e.g. an embedder's own session, stays active).
 /// Scopes are process-global: one driving thread installs, pool workers
-/// observe — matching the CobaltContext's one-driver threading model.
+/// observe. Concurrent drivers must install the same session (cobaltd
+/// holds its service's session for the daemon's whole lifetime).
 class TelemetryScope {
 public:
   explicit TelemetryScope(Telemetry *T) : Installed(T != nullptr) {
@@ -506,125 +489,6 @@ inline void flightNote(const char *Kind, std::string Detail,
     T->Metrics.add("flight.events");
   }
 }
-
-#else // !COBALT_TELEMETRY — the layer compiles down to nothing.
-
-/// Null-sink MetricsRegistry: every write is dropped, every read is
-/// empty. Kept API-compatible so embedders and the CLI build unchanged.
-class MetricsRegistry {
-public:
-  void add(std::string_view, uint64_t = 1) {}
-  void gaugeSet(std::string_view, int64_t) {}
-  void gaugeMax(std::string_view, int64_t) {}
-  void observe(std::string_view, double) {}
-  uint64_t counter(std::string_view) const { return 0; }
-  int64_t gauge(std::string_view) const { return 0; }
-  HistogramStats histogram(std::string_view) const { return {}; }
-  std::map<std::string, uint64_t> counters() const { return {}; }
-  std::string json() const {
-    return "{\"counters\": {}, \"gauges\": {}, \"histograms\": {}}\n";
-  }
-};
-
-struct TraceEvent {
-  const char *Cat = "";
-  const char *Name = "";
-  unsigned Lane = 0;
-  uint64_t StartUs = 0;
-  uint64_t DurUs = 0;
-  uint64_t TraceId = 0;
-  int Pid = 0;
-  std::vector<uint64_t> Linked;
-  std::vector<std::pair<const char *, std::string>> Args;
-};
-
-class TraceRecorder {
-public:
-  void record(TraceEvent) {}
-  uint64_t nowUs() const { return 0; }
-  std::vector<TraceEvent> snapshot() const { return {}; }
-  size_t eventCount() const { return 0; }
-  std::string json() const { return "{\"traceEvents\": []}\n"; }
-  uint64_t epochUs() const { return 0; }
-  std::string serializeEvents() const { return {}; }
-  void importSerialized(std::string_view, int) {}
-  void setProcessName(int, std::string) {}
-  static unsigned currentLane() { return 0; }
-  static void setCurrentLane(unsigned) {}
-  static uint64_t currentTraceId() { return 0; }
-  static void setCurrentTraceId(uint64_t) {}
-};
-
-class TraceIdScope {
-public:
-  explicit TraceIdScope(uint64_t) {}
-  TraceIdScope(const TraceIdScope &) = delete;
-  TraceIdScope &operator=(const TraceIdScope &) = delete;
-};
-
-struct FlightEvent {
-  uint64_t Seq = 0;
-  uint64_t WhenUs = 0;
-  uint64_t TraceId = 0;
-  const char *Kind = "";
-  std::string Detail;
-};
-
-class FlightRecorder {
-public:
-  explicit FlightRecorder(size_t = 1024) {}
-  void setCapacity(size_t) {}
-  size_t capacity() const { return 0; }
-  void note(const char *, std::string, uint64_t = 0) {}
-  std::vector<FlightEvent> snapshot() const { return {}; }
-  std::string json(const char * = nullptr) const {
-    return "{\"flightEvents\": []}\n";
-  }
-};
-
-class Telemetry {
-public:
-  MetricsRegistry Metrics;
-  TraceRecorder Trace;
-  FlightRecorder Flight;
-  bool TraceEnabled = false;
-  static constexpr Telemetry *active() { return nullptr; }
-};
-
-class TelemetryScope {
-public:
-  explicit TelemetryScope(Telemetry *) {}
-  TelemetryScope(const TelemetryScope &) = delete;
-  TelemetryScope &operator=(const TelemetryScope &) = delete;
-};
-
-class TraceSpan {
-public:
-  TraceSpan(const char *, const char *) {}
-  TraceSpan(const TraceSpan &) = delete;
-  TraceSpan &operator=(const TraceSpan &) = delete;
-  bool enabled() const { return false; }
-  void arg(const char *, std::string) {}
-  void arg(const char *, uint64_t) {}
-  void linked(std::vector<uint64_t>) {}
-};
-
-// The contract -DCOBALT_TELEMETRY=OFF promises: the null sink has no
-// state at all — instrumentation sites cost nothing but an empty object.
-static_assert(std::is_empty_v<TraceSpan>,
-              "null-sink TraceSpan must compile out to an empty class");
-static_assert(std::is_empty_v<TelemetryScope>,
-              "null-sink TelemetryScope must compile out");
-static_assert(std::is_empty_v<TraceIdScope>,
-              "null-sink TraceIdScope must compile out");
-
-inline void metricAdd(std::string_view, uint64_t = 1) {}
-inline void metricObserve(std::string_view, double) {}
-inline void metricGaugeSet(std::string_view, int64_t) {}
-inline void metricGaugeMax(std::string_view, int64_t) {}
-inline void flightNote(const char *, std::string, uint64_t = 0) {}
-
-#endif // COBALT_TELEMETRY
 
 } // namespace support
 } // namespace cobalt

@@ -8,7 +8,8 @@
 /// The one thread pool the whole pipeline shares: the soundness checker
 /// fans proof obligations into it (each job owns a fresh Z3 context), and
 /// the pass manager fans per-procedure pipeline runs into it. A
-/// CobaltContext owns exactly one pool sized by its `Jobs` config.
+/// CobaltService owns one pool sized by its `Jobs` config, and every
+/// request it serves runs on that pool.
 ///
 /// Design points:
 ///

@@ -150,8 +150,6 @@ SessionTelemetry runSession(unsigned Jobs, const char *Tag) {
 }
 
 TEST(RequestTrace, SameTelemetryAcrossJobWidthsThroughDaemon) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "telemetry compiled out (-DCOBALT_TELEMETRY=OFF)";
   SessionTelemetry Sequential = runSession(1, "jobs1");
   SessionTelemetry Parallel = runSession(4, "jobs4");
 
@@ -176,8 +174,6 @@ TEST(RequestTrace, SameTelemetryAcrossJobWidthsThroughDaemon) {
 }
 
 TEST(RequestTrace, WorkerSpansMergeUnderInjectedCrashes) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "telemetry compiled out (-DCOBALT_TELEMETRY=OFF)";
   std::shared_ptr<api::CobaltService> Svc =
       makeService(2, checker::WorkerIsolation::WI_Subprocess);
   service::Daemon D(Svc, socketPath("merge"));
@@ -223,8 +219,6 @@ TEST(RequestTrace, WorkerSpansMergeUnderInjectedCrashes) {
 }
 
 TEST(RequestTrace, QuarantineDumpsFlightRecorder) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "telemetry compiled out (-DCOBALT_TELEMETRY=OFF)";
   std::shared_ptr<api::CobaltService> Svc =
       makeService(2, checker::WorkerIsolation::WI_Subprocess);
   service::Daemon D(Svc, socketPath("flight"));

@@ -25,8 +25,6 @@ using namespace cobalt::support;
 
 namespace {
 
-#if COBALT_TELEMETRY
-
 TEST(MetricsRegistryTest, CountersAccumulate) {
   MetricsRegistry M;
   EXPECT_EQ(M.counter("a"), 0u);
@@ -383,31 +381,6 @@ TEST(MetricsRegistryTest, ConcurrentAddsAreLossless) {
   EXPECT_EQ(M.counter("shared"), uint64_t(Threads) * PerThread);
   EXPECT_EQ(M.histogram("h").Count, uint64_t(Threads) * PerThread);
 }
-
-#else // !COBALT_TELEMETRY
-
-TEST(TelemetryOffTest, NullSinkCompilesOut) {
-  // The -DCOBALT_TELEMETRY=OFF contract: active() folds to nullptr and
-  // the stub emitters produce the canonical empty documents.
-  EXPECT_FALSE(telemetryCompiledIn());
-  EXPECT_EQ(Telemetry::active(), nullptr);
-  MetricsRegistry M;
-  M.add("a");
-  EXPECT_EQ(M.counter("a"), 0u);
-  EXPECT_EQ(M.json(), "{\"counters\": {}, \"gauges\": {}, "
-                      "\"histograms\": {}}\n");
-  TraceRecorder R;
-  EXPECT_EQ(R.json(), "{\"traceEvents\": []}\n");
-  FlightRecorder F;
-  F.note("worker.spawn", "dropped");
-  EXPECT_TRUE(F.snapshot().empty());
-  EXPECT_EQ(F.json("any"), "{\"flightEvents\": []}\n");
-  // Trace IDs are NOT compiled out: protocol frames carry them even
-  // when the local build records nothing.
-  EXPECT_NE(mintTraceId(), 0u);
-}
-
-#endif // COBALT_TELEMETRY
 
 TEST(RemarkTest, RendersStably) {
   Remark R;

@@ -18,7 +18,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "ir/Printer.h"
 #include "opts/Optimizations.h"
 #include "support/FaultInjection.h"
@@ -68,26 +68,33 @@ RunTelemetry runOnce(unsigned Jobs) {
   api::CobaltConfig Config;
   Config.Jobs = Jobs;
   Config.Telemetry = true;
-  api::CobaltContext Ctx(Config);
+  std::shared_ptr<api::CobaltService> Svc =
+      api::CobaltService::Builder()
+          .config(Config)
+          .addOptimization(opts::constProp())
+          .addOptimization(opts::cse())
+          .build();
 
   RunTelemetry Out;
-  Ctx.setRemarkCallback([&Out](const support::Remark &R) {
+  api::CheckResponse Gate = Svc->check(api::CheckRequest{});
+  EXPECT_TRUE(Gate.Suite.allSound());
+  for (const support::Remark &R : Gate.Remarks)
     Out.Remarks.push_back(R.str());
-  });
-  Ctx.addOptimization(opts::constProp());
-  Ctx.addOptimization(opts::cse());
 
-  api::SuiteResult Suite = Ctx.checkRegistered();
-  EXPECT_TRUE(Suite.allSound());
-
-  auto Prog = Ctx.parseProgram(ProgramSource);
+  auto Prog = Svc->parseProgram(ProgramSource);
   EXPECT_TRUE(static_cast<bool>(Prog));
-  api::PipelineResult Run =
-      Ctx.runPipeline(*Prog, Suite.provenPassNames());
-  EXPECT_GT(Run.Applied, 0u);
-  Out.OptimizedProgram = ir::toString(*Prog);
+  api::PipelineRequest Req;
+  Req.Prog = std::move(*Prog);
+  Req.PassNames = Gate.Suite.provenPassNames();
+  Req.SelectedOnly = true;
+  api::PipelineResponse Run = Svc->run(std::move(Req));
+  EXPECT_GT(Run.Result.Applied, 0u);
+  for (const engine::PassReport &R : Run.Result.Reports)
+    for (const support::Remark &Rem : R.Remarks)
+      Out.Remarks.push_back(Rem.str());
+  Out.OptimizedProgram = ir::toString(Run.Prog);
 
-  support::Telemetry *T = Ctx.telemetry();
+  support::Telemetry *T = Svc->telemetry();
   EXPECT_NE(T, nullptr);
   for (const support::TraceEvent &E : T->Trace.snapshot()) {
     std::string Key = std::string(E.Cat) + "/" + E.Name + "{";
@@ -112,8 +119,6 @@ void expectSameTelemetry(const RunTelemetry &A, const RunTelemetry &B) {
 }
 
 TEST(TraceEquivalenceTest, SameSpanSetAcrossJobWidths) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "telemetry compiled out (-DCOBALT_TELEMETRY=OFF)";
   RunTelemetry Sequential = runOnce(1);
   RunTelemetry Parallel = runOnce(4);
 
@@ -128,8 +133,6 @@ TEST(TraceEquivalenceTest, SameSpanSetAcrossJobWidths) {
 }
 
 TEST(TraceEquivalenceTest, SameSpanSetUnderInjectedProverStall) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "telemetry compiled out (-DCOBALT_TELEMETRY=OFF)";
   // The stall payload delays every prover call by a fixed wall amount:
   // span durations change, deterministic telemetry must not.
   ScopedFaultPlan Plan("checker.prover_stall_ms=15");
@@ -140,8 +143,6 @@ TEST(TraceEquivalenceTest, SameSpanSetUnderInjectedProverStall) {
 }
 
 TEST(TraceEquivalenceTest, StallDoesNotChangeSpanSetEither) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "telemetry compiled out (-DCOBALT_TELEMETRY=OFF)";
   // Cross-check: the faulted run and the clean run also agree on the
   // span *set* — the stall is invisible outside of wall time.
   RunTelemetry Clean = runOnce(1);

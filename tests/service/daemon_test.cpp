@@ -126,25 +126,23 @@ TEST(Daemon, ConcurrentClientsByteIdenticalAndProvedOnce) {
   EXPECT_EQ(Doc->find("status")->asString(), "ok");
   EXPECT_EQ(Doc->find("exit")->asI64(), 0);
 
-  if (support::telemetryCompiledIn()) {
-    service::Client C;
-    ASSERT_FALSE(C.connect(D.socketPath()).failed());
-    support::Expected<std::string> Stats =
-        C.request(service::makeStatsRequest(), 10000);
-    ASSERT_TRUE(Stats.ok());
-    // The suite has 30 obligations (15 per optimization); 4 concurrent
-    // full-suite requests must prove each exactly once.
-    uint64_t Proved = statsCounter(*Stats, "checker.obligations");
-    uint64_t PerSuite = 0;
-    const service::JsonValue *Defs = Doc->find("definitions");
-    ASSERT_NE(Defs, nullptr);
-    for (const service::JsonValue &Def : Defs->Items)
-      PerSuite += Def.find("obligations")->Items.size();
-    EXPECT_EQ(Proved, PerSuite);
-    // The other three clients' suites came from the memo.
-    EXPECT_GE(statsCounter(*Stats, "service.dedup.served"),
-              (Clients - 1) * 2u);
-  }
+  service::Client C;
+  ASSERT_FALSE(C.connect(D.socketPath()).failed());
+  support::Expected<std::string> Stats =
+      C.request(service::makeStatsRequest(), 10000);
+  ASSERT_TRUE(Stats.ok());
+  // The suite has 30 obligations (15 per optimization); 4 concurrent
+  // full-suite requests must prove each exactly once.
+  uint64_t Proved = statsCounter(*Stats, "checker.obligations");
+  uint64_t PerSuite = 0;
+  const service::JsonValue *Defs = Doc->find("definitions");
+  ASSERT_NE(Defs, nullptr);
+  for (const service::JsonValue &Def : Defs->Items)
+    PerSuite += Def.find("obligations")->Items.size();
+  EXPECT_EQ(Proved, PerSuite);
+  // The other three clients' suites came from the memo.
+  EXPECT_GE(statsCounter(*Stats, "service.dedup.served"),
+            (Clients - 1) * 2u);
   D.stop();
 }
 

@@ -8,13 +8,14 @@
 /// The immutable service half of the API redesign (DESIGN.md §13):
 /// request resolution, per-request overrides, obligation-level dedup
 /// across concurrent callers (prove once, serve everyone), admission
-/// control's Retry contract, the Unproven memo-eviction rule, and the
-/// two-tier verdict cache's mem-vs-disk counters.
+/// control's Retry contract, the Unproven memo-eviction rule, the §6
+/// assumed-analysis gate, and the two-tier verdict cache's mem-vs-disk
+/// counters.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
 #include "api/Service.h"
+#include "opts/Buggy.h"
 #include "opts/Labels.h"
 #include "opts/Optimizations.h"
 #include "support/FaultInjection.h"
@@ -22,6 +23,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <string>
@@ -104,8 +106,7 @@ TEST(ServiceApi, MemoServesRepeatCheaply) {
   ASSERT_TRUE(Second.ok());
   // Both definitions were served from the in-flight memo, not re-proven.
   EXPECT_GE(Svc->cacheHits(), HitsAfterFirst + 2);
-  if (support::telemetryCompiledIn())
-    EXPECT_GE(counter(*Svc, "service.dedup.served"), 2u);
+  EXPECT_GE(counter(*Svc, "service.dedup.served"), 2u);
   // Served and proven reports must say the same thing.
   ASSERT_EQ(First.Suite.Reports.size(), Second.Suite.Reports.size());
   for (size_t I = 0; I < First.Suite.Reports.size(); ++I) {
@@ -116,8 +117,6 @@ TEST(ServiceApi, MemoServesRepeatCheaply) {
 }
 
 TEST(ServiceApi, ConcurrentRequestsProveOnce) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "needs metrics to count provings";
   CobaltConfig Config;
   Config.Telemetry = true;
   std::shared_ptr<CobaltService> Svc = makeService(Config);
@@ -154,8 +153,6 @@ TEST(ServiceApi, ConcurrentRequestsProveOnce) {
 }
 
 TEST(ServiceApi, AdmissionControlRetries) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "uses the stall fault's timing";
   CobaltConfig Config;
   Config.Telemetry = true;
   Config.MaxInFlightObligations = 1;
@@ -199,8 +196,6 @@ TEST(ServiceApi, AdmissionControlRetries) {
 }
 
 TEST(ServiceApi, BudgetOverrideAndUnprovenEviction) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "uses the stall fault's timing";
   CobaltConfig Config;
   Config.Telemetry = true;
   std::shared_ptr<CobaltService> Svc = makeService(Config);
@@ -228,8 +223,6 @@ TEST(ServiceApi, BudgetOverrideAndUnprovenEviction) {
 }
 
 TEST(ServiceApi, MemVsDiskCacheCounters) {
-  if (!support::telemetryCompiledIn())
-    GTEST_SKIP() << "counters compiled out";
   fs::path Dir = scratchDir("two_tier");
 
   CobaltConfig Config;
@@ -288,18 +281,30 @@ TEST(ServiceApi, PipelineRequestRoundTrip) {
   EXPECT_FALSE(Resp.Prog.Procs.empty());
 }
 
-TEST(ServiceApi, ContextCompatDelegatesToService) {
-  // The old facade still works and exposes its backing service.
-  CobaltContext Ctx{CobaltConfig{}};
-  for (const LabelDef &Def : opts::standardLabels())
-    Ctx.defineLabel(Def);
-  Ctx.addOptimization(opts::constProp());
-  checker::CheckReport R = Ctx.check(opts::constProp());
-  EXPECT_TRUE(R.Sound);
-  api::SuiteResult Suite = Ctx.checkRegistered();
-  EXPECT_TRUE(Suite.allSound());
-  ASSERT_NE(Ctx.service(), nullptr);
-  EXPECT_EQ(Ctx.service()->definitionCount(), 1u);
+TEST(ServiceApi, UnprovenAnalysisGatesItsConsumers) {
+  // The §6 extensible-compiler gate: load_cse is sound only if the
+  // analysis defining notTainted is. Paired with an unsound producer,
+  // its own proof succeeds but it must not be admitted.
+  CobaltService::Builder B;
+  B.addAnalysis(opts::buggyTaintAnalysis().Analysis);
+  B.addOptimization(opts::loadCse());
+  std::shared_ptr<CobaltService> Svc = B.build();
+  CheckResponse Resp = Svc->check({});
+  ASSERT_TRUE(Resp.ok());
+  ASSERT_EQ(Resp.Suite.Reports.size(), 2u);
+
+  const checker::CheckReport &Analysis = Resp.Suite.Reports[0];
+  const checker::CheckReport &Rule = Resp.Suite.Reports[1];
+  EXPECT_EQ(Analysis.V, checker::CheckReport::Verdict::V_Unsound);
+  EXPECT_TRUE(Resp.Suite.ProvenAnalyses.empty());
+  EXPECT_TRUE(Rule.Sound);
+  EXPECT_EQ(Rule.Name, "load_cse");
+  EXPECT_EQ(Resp.Suite.Conditional, std::vector<std::string>{"load_cse"});
+  EXPECT_EQ(Resp.Suite.ProvenOptimizations.count("load_cse"), 0u);
+  std::vector<std::string> Proven = Resp.Suite.provenPassNames();
+  EXPECT_EQ(std::find(Proven.begin(), Proven.end(), "load_cse"),
+            Proven.end());
+  EXPECT_EQ(CobaltService::exitCodeFor(Resp.Suite, false), 1);
 }
 
 } // namespace

@@ -271,22 +271,11 @@ bool cli::parseFlags(int Argc, char **Argv, const char *Tool, unsigned Sets,
       return false;
     }
   }
+  // Telemetry failures never change exit codes: a soundness tool's
+  // verdict must not depend on whether its instrumentation worked.
   if (!Opts.TraceOut.empty() || !Opts.MetricsOut.empty() ||
-      !Opts.FlightOut.empty()) {
-    // Telemetry failures never change exit codes: a soundness tool's
-    // verdict must not depend on whether its instrumentation worked.
-    if (support::telemetryCompiledIn())
-      Opts.Config.Telemetry = true;
-    else
-      std::fprintf(stderr,
-                   "%s: warning: this build has telemetry compiled "
-                   "out (-DCOBALT_TELEMETRY=OFF); --trace-out/"
-                   "--metrics-out/--flight-recorder= will write empty "
-                   "documents\n",
-                   Tool);
-  }
-  if (Opts.Telemetry)
-    Opts.Config.Telemetry = support::telemetryCompiledIn();
+      !Opts.FlightOut.empty() || Opts.Telemetry)
+    Opts.Config.Telemetry = true;
   return true;
 }
 

@@ -70,8 +70,8 @@ enum FlagSet : unsigned {
 /// positional arguments in \p Positional. On a malformed, unknown, or
 /// out-of-set flag, prints "<tool>: ..." to stderr and returns false.
 /// Sets Config.Prover.TimeoutMs to the CLI default (8000) before
-/// parsing, and auto-enables Config.Telemetry when --trace-out=/
-/// --metrics-out= were given (warning when telemetry is compiled out).
+/// parsing, and enables Config.Telemetry when --trace-out=/
+/// --metrics-out=/--flight-recorder= or --telemetry were given.
 bool parseFlags(int Argc, char **Argv, const char *Tool, unsigned Sets,
                 CommonOptions &Opts,
                 std::vector<const char *> &Positional);

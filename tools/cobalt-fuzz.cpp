@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Differential fuzzing harness over the CobaltContext facade
+/// Differential fuzzing harness over the CobaltService API
 /// (DESIGN.md §11):
 ///
 ///   cobalt-fuzz [flags]
@@ -24,7 +24,10 @@
 ///   --corpus-dir <dir>  write minimized reproducers + manifest there
 ///   --check             recompute verdicts with the live checker
 ///                       instead of trusting the documented ones — the
-///                       full checker-cross-check mode
+///                       full checker-cross-check mode. Each target is
+///                       proven on its own service (its analyses + its
+///                       rule), and a rule that assumes a rejected
+///                       analysis takes that analysis's verdict (§6)
 ///   --require-expected  exit 1 unless every observable seeded bug
 ///                       produced a divergence (the CI smoke assertion)
 ///   --validate          adversarial translation-validation mode
@@ -53,15 +56,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
+#include "api/Service.h"
 #include "fuzz/Corpus.h"
 #include "fuzz/Fuzzer.h"
 #include "ir/Printer.h"
 #include "support/FaultInjection.h"
 #include "validate/Adversary.h"
 
+#include <algorithm>
 #include <chrono>
-#include <set>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -225,21 +228,46 @@ std::vector<fuzz::FuzzTarget> assembleTargets(const std::string &Suite) {
 /// --check: replace each target's documented verdict with the live
 /// checker's. Any disagreement is itself reported — the checker oracle
 /// covering the *verdict* side of the contract.
-void recomputeVerdicts(api::CobaltContext &Ctx,
+///
+/// Each target is proven on a service of its own, registered with
+/// exactly its analyses and its rule: the rule's labels must reach the
+/// registry, and one shared service could not hold two targets whose
+/// analyses define the same label. The verdict is the §6-gated one — a
+/// rule proven only under a rejected analysis takes that analysis's
+/// verdict, since applying it is exactly as unsafe. The services run
+/// under the campaign's telemetry session, so their spans and counters
+/// land in the --trace-out/--metrics-out dumps.
+void recomputeVerdicts(const api::CobaltConfig &Config,
                        std::vector<fuzz::FuzzTarget> &Targets) {
-  std::set<std::string> Registered;
+  api::CobaltConfig TargetConfig = Config;
+  TargetConfig.Telemetry = false;
+  auto Has = [](const std::vector<std::string> &Names,
+                const std::string &Name) {
+    return std::find(Names.begin(), Names.end(), Name) != Names.end();
+  };
   for (fuzz::FuzzTarget &T : Targets) {
+    api::CobaltService::Builder B;
+    B.config(TargetConfig);
     for (const PureAnalysis &A : T.Analyses)
-      if (Registered.insert(A.Name).second)
-        Ctx.addAnalysis(A);
-    checker::CheckReport R = Ctx.check(T.Opt);
-    if (R.V != T.Verdict)
+      B.addAnalysis(A);
+    B.addOptimization(T.Opt);
+    api::SuiteResult Suite = B.build()->check(api::CheckRequest{}).Suite;
+    // Analyses come first; the rule's report is the last one.
+    const checker::CheckReport &Rule = Suite.Reports.back();
+    checker::CheckReport::Verdict V = Rule.V;
+    if (Has(Suite.Conditional, Rule.Name))
+      for (const checker::CheckReport &A : Suite.Reports)
+        if (!A.Sound && Has(Rule.AssumedAnalyses, A.Name)) {
+          V = A.V;
+          break;
+        }
+    if (V != T.Verdict)
       std::fprintf(stderr,
                    "cobalt-fuzz: note: checker says %s for %s "
                    "(documented %s)\n",
-                   fuzz::verdictName(R.V), T.Opt.Name.c_str(),
+                   fuzz::verdictName(V), T.Opt.Name.c_str(),
                    fuzz::verdictName(T.Verdict));
-    T.Verdict = R.V;
+    T.Verdict = V;
   }
 }
 
@@ -366,7 +394,7 @@ std::string adversaryJson(const Options &Opts,
 /// `cobalt-fuzz --validate`: the adversarial campaign of DESIGN.md §14.
 /// The fuzzer switches sides — instead of probing the checker it
 /// miscompiles programs and tries to sneak them past the validator.
-int runValidateMode(const Options &Opts, api::CobaltContext &Ctx,
+int runValidateMode(const Options &Opts, api::CobaltService &Svc,
                     const std::vector<fuzz::FuzzTarget> &Targets) {
   validate::AdversaryOptions AO;
   AO.Seed = Opts.Fuzz.Seed;
@@ -375,7 +403,7 @@ int runValidateMode(const Options &Opts, api::CobaltContext &Ctx,
 
   const auto Start = std::chrono::steady_clock::now();
   validate::AdversarySummary Sum =
-      validate::runAdversary(Targets, AO, Ctx.service()->prover());
+      validate::runAdversary(Targets, AO, Svc.prover());
   double Elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
@@ -422,9 +450,7 @@ int main(int Argc, char **Argv) {
 
   api::CobaltConfig Config;
   Config.Jobs = Opts.Jobs;
-  Config.Telemetry =
-      (!Opts.TraceOut.empty() || !Opts.MetricsOut.empty()) &&
-      support::telemetryCompiledIn();
+  Config.Telemetry = !Opts.TraceOut.empty() || !Opts.MetricsOut.empty();
   if (Opts.Validate) {
     // The adversary measures verdict *safety*, not proof completeness:
     // Unknown is an acceptable outcome, so unprovable obligations must
@@ -435,17 +461,21 @@ int main(int Argc, char **Argv) {
     Config.Prover.Retries = 1;
     Config.Prover.BudgetMs = 10000;
   }
-  api::CobaltContext Ctx(Config);
+  // One service: its pool runs the campaign, its prover serves
+  // --validate, and its session collects the campaign's telemetry.
+  std::shared_ptr<api::CobaltService> Svc =
+      api::CobaltService::Builder().config(Config).build();
+  support::TelemetryScope Scope(Svc->telemetry());
 
   std::vector<fuzz::FuzzTarget> Targets = assembleTargets(Opts.Suite);
   if (Opts.Check)
-    recomputeVerdicts(Ctx, Targets);
+    recomputeVerdicts(Config, Targets);
 
   if (Opts.Validate)
-    return runValidateMode(Opts, Ctx, Targets);
+    return runValidateMode(Opts, *Svc, Targets);
 
   const auto Start = std::chrono::steady_clock::now();
-  fuzz::FuzzSummary Sum = Ctx.runFuzz(Targets, Opts.Fuzz);
+  fuzz::FuzzSummary Sum = fuzz::runFuzz(Targets, Opts.Fuzz, Svc->pool());
   double Elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
@@ -461,7 +491,7 @@ int main(int Argc, char **Argv) {
       return ExitUsage;
     }
 
-  if (support::Telemetry *T = Ctx.telemetry()) {
+  if (support::Telemetry *T = Svc->telemetry()) {
     if (!Opts.TraceOut.empty() &&
         !writeTextFile(Opts.TraceOut, T->Trace.json()))
       std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",

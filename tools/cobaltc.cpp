@@ -4,7 +4,7 @@
 //
 //===----------------------------------------------------------------------===//
 ///
-/// Command-line driver over the CobaltContext facade:
+/// Command-line driver over the CobaltService API (api/Service.h):
 ///
 ///   cobaltc check <module.cob>                  prove every definition
 ///   cobaltc opt   <module.cob> <program.il>     check, then print the
@@ -99,8 +99,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "api/Cobalt.h"
 #include "api/ReportJson.h"
+#include "api/Service.h"
 #include "ir/Interp.h"
 #include "ir/Printer.h"
 #include "opts/StdlibCobalt.h"
@@ -110,6 +110,7 @@
 
 #include "Flags.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -172,17 +173,14 @@ int usage() {
 // Observability wiring (--trace-out, --metrics-out, --remarks).
 //===----------------------------------------------------------------------===//
 
-/// Hooks the remark stream up to stderr at the requested level. Remarks
+/// Prints \p R on stderr if the --remarks= level asks for it. Remarks
 /// flow regardless of --trace-out/--metrics-out: they are pipeline data.
-void attachRemarks(api::CobaltContext &Ctx, const cli::CommonOptions &Opts) {
-  if (Opts.Remarks == cli::CommonOptions::RemarkLevel::RL_None)
+void printRemark(const support::Remark &R, const cli::CommonOptions &Opts) {
+  if (Opts.Remarks == cli::CommonOptions::RemarkLevel::RL_None ||
+      (Opts.Remarks == cli::CommonOptions::RemarkLevel::RL_Missed &&
+       R.K == support::Remark::Kind::RK_Passed))
     return;
-  bool All = Opts.Remarks == cli::CommonOptions::RemarkLevel::RL_All;
-  Ctx.setRemarkCallback([All](const support::Remark &R) {
-    if (!All && R.K == support::Remark::Kind::RK_Passed)
-      return;
-    std::fprintf(stderr, "remark: %s\n", R.str().c_str());
-  });
+  std::fprintf(stderr, "remark: %s\n", R.str().c_str());
 }
 
 bool writeTextFile(const std::string &Path, const std::string &Text) {
@@ -213,22 +211,13 @@ std::string indentJson(const std::string &Doc, const char *Pad) {
 
 /// Writes the --trace-out/--metrics-out files and emits the telemetry
 /// summary: into \p JsonOut as a "telemetry" member when reporting JSON,
-/// as a table on stderr otherwise. Failures warn and are otherwise
-/// ignored — they never affect the exit code.
-void emitTelemetry(api::CobaltContext &Ctx, const cli::CommonOptions &Opts,
+/// as a table on stderr otherwise. \p T is the service's session, which
+/// those flags switched on (null when neither was given). Failures warn
+/// and are otherwise ignored — they never affect the exit code.
+void emitTelemetry(support::Telemetry *T, const cli::CommonOptions &Opts,
                    std::string *JsonOut) {
-  support::Telemetry *T = Ctx.telemetry();
-  if (!T) {
-    if (!Opts.TraceOut.empty() &&
-        !writeTextFile(Opts.TraceOut, "{\"traceEvents\": []}\n"))
-      std::fprintf(stderr, "cobaltc: warning: cannot write '%s'\n",
-                   Opts.TraceOut.c_str());
-    if (!Opts.MetricsOut.empty() &&
-        !writeTextFile(Opts.MetricsOut, support::MetricsRegistry().json()))
-      std::fprintf(stderr, "cobaltc: warning: cannot write '%s'\n",
-                   Opts.MetricsOut.c_str());
+  if (!T)
     return;
-  }
   if (!Opts.TraceOut.empty() &&
       !writeTextFile(Opts.TraceOut, T->Trace.json()))
     std::fprintf(stderr, "cobaltc: warning: cannot write trace to '%s'\n",
@@ -316,57 +305,47 @@ void printReport(const checker::CheckReport &R) {
   }
 }
 
-/// Proves every registered definition. The default path batches all
-/// definitions through checkRegistered() (all obligations fan out over
-/// the pool at once); --fail-fast instead checks definitions one by one
-/// so it can stop at the first unproven one.
-api::SuiteResult checkModule(api::CobaltContext &Ctx,
-                             const CobaltModule &Module,
+/// Proves every registered definition. The default path is one batched
+/// check (all obligations fan out over the pool at once); --fail-fast
+/// instead checks definitions one request at a time, analyses first, so
+/// it can stop at the first one not proven sound. Both assemble the
+/// suite with api::assembleSuite, so counts, the §6 gate, and quarantine
+/// remarks agree.
+api::SuiteResult checkModule(api::CobaltService &Svc,
                              const cli::CommonOptions &Opts, bool Quiet) {
   api::SuiteResult Summary;
+  std::vector<support::Remark> Remarks;
   if (!Opts.FailFast) {
-    Summary = Ctx.checkRegistered();
+    api::CheckResponse Resp = Svc.check(api::CheckRequest{});
+    Summary = std::move(Resp.Suite);
+    Remarks = std::move(Resp.Remarks);
     if (!Quiet)
       for (const checker::CheckReport &R : Summary.Reports)
         printReport(R);
   } else {
-    for (const PureAnalysis &A : Module.Analyses) {
-      checker::CheckReport R = Ctx.check(A);
-      if (R.Sound)
-        Summary.ProvenAnalyses.insert(A.Name);
-      else if (R.unsound())
-        ++Summary.Unsound;
-      else
-        ++Summary.Unproven;
+    const size_t AnalysisCount = Svc.analyses().size();
+    std::vector<checker::CheckReport> Reports;
+    for (size_t I = 0; I < Svc.definitionCount(); ++I) {
+      bool IsAnalysis = I < AnalysisCount;
+      api::CheckRequest Req;
+      Req.Only = {IsAnalysis ? Svc.analyses()[I].Name
+                             : Svc.optimizations()[I - AnalysisCount].Name};
+      api::CheckResponse Resp = Svc.check(Req);
+      // Responses list analyses first, so this picks the right report
+      // even when an analysis and an optimization share a name.
+      Reports.push_back(IsAnalysis ? Resp.Suite.Reports.front()
+                                   : Resp.Suite.Reports.back());
       if (!Quiet)
-        printReport(R);
-      bool Stop = !R.Sound;
-      Summary.Reports.push_back(std::move(R));
-      if (Stop)
-        return Summary;
+        printReport(Reports.back());
+      if (!Reports.back().Sound)
+        break;
     }
-    for (const Optimization &O : Module.Optimizations) {
-      checker::CheckReport R = Ctx.check(O);
-      bool AnalysesOk = true;
-      for (const std::string &Dep : R.AssumedAnalyses)
-        AnalysesOk =
-            AnalysesOk && Summary.ProvenAnalyses.count(Dep) != 0;
-      if (R.Sound && AnalysesOk)
-        Summary.ProvenOptimizations.insert(O.Name);
-      else if (R.Sound)
-        Summary.Conditional.push_back(O.Name);
-      if (R.unsound())
-        ++Summary.Unsound;
-      else if (!R.Sound)
-        ++Summary.Unproven;
-      if (!Quiet)
-        printReport(R);
-      bool Stop = !R.Sound;
-      Summary.Reports.push_back(std::move(R));
-      if (Stop)
-        return Summary;
-    }
+    size_t Checked = Reports.size();
+    Summary = api::assembleSuite(std::move(Reports),
+                                 std::min(Checked, AnalysisCount), Remarks);
   }
+  for (const support::Remark &R : Remarks)
+    printRemark(R, Opts);
   if (!Quiet)
     for (const std::string &Name : Summary.Conditional)
       std::printf("  %-24s note: proven, but an assumed analysis is "
@@ -375,41 +354,33 @@ api::SuiteResult checkModule(api::CobaltContext &Ctx,
   return Summary;
 }
 
-/// Shared with cobaltd via api::CobaltService::exitCodeFor so the two
-/// binaries classify identically (it also scans report obligations, so
-/// the --fail-fast path's hand-built summary is covered).
-int exitCodeFor(const api::SuiteResult &Summary, bool PipelineDegraded) {
-  return api::CobaltService::exitCodeFor(Summary, PipelineDegraded);
-}
-
 //===----------------------------------------------------------------------===//
 // Subcommands.
 //===----------------------------------------------------------------------===//
 
 int cmdCheck(const char *ModulePath, const cli::CommonOptions &Opts) {
-  api::CobaltContext Ctx(Opts.Config);
-  attachRemarks(Ctx, Opts);
-  auto Module = Ctx.loadModuleFile(ModulePath);
+  support::Expected<CobaltModule> Module = api::loadModule(ModulePath);
   if (!Module) {
     std::fprintf(stderr, "%s\n", Module.error().str().c_str());
     return ExitUsage;
   }
-  CobaltModule Defs = *Module; // names kept for --fail-fast iteration
-  Ctx.addModule(std::move(*Module));
-
   if (!Opts.ReportJson)
     std::printf("checking %zu label(s), %zu analysis(es), %zu "
                 "optimization(s) from %s:\n",
-                Defs.Labels.size(), Defs.Analyses.size(),
-                Defs.Optimizations.size(), ModulePath);
-  api::SuiteResult Summary =
-      checkModule(Ctx, Defs, Opts, /*Quiet=*/Opts.ReportJson);
-  int Exit = exitCodeFor(Summary, /*PipelineDegraded=*/false);
+                Module->Labels.size(), Module->Analyses.size(),
+                Module->Optimizations.size(), ModulePath);
+  std::shared_ptr<api::CobaltService> Svc = api::CobaltService::Builder()
+                                                .config(Opts.Config)
+                                                .addModule(std::move(*Module))
+                                                .build();
+  api::SuiteResult Summary = checkModule(*Svc, Opts, /*Quiet=*/Opts.ReportJson);
+  int Exit = api::CobaltService::exitCodeFor(Summary,
+                                             /*PipelineDegraded=*/false);
 
   if (Opts.ReportJson) {
     std::string Out = "{\n  \"command\": \"check\",\n";
     api::emitDefinitionsJson(Out, Summary.Reports);
-    emitTelemetry(Ctx, Opts, &Out);
+    emitTelemetry(Svc->telemetry(), Opts, &Out);
     Out += ",\n  \"exit\": " + std::to_string(Exit) + "\n}\n";
     std::fputs(Out.c_str(), stdout);
     return Exit;
@@ -428,48 +399,52 @@ int cmdCheck(const char *ModulePath, const cli::CommonOptions &Opts) {
                 Summary.Unproven);
   else
     std::printf("all definitions proven sound\n");
-  emitTelemetry(Ctx, Opts, nullptr);
+  emitTelemetry(Svc->telemetry(), Opts, nullptr);
   return Exit;
 }
 
 /// The shared check-gate-optimize front half of `opt` and `run`.
-/// Returns nullopt when the pipeline must not run (refusal or input
-/// error); the exit code is then in \p Exit.
 struct GatedPipeline {
+  std::shared_ptr<api::CobaltService> Svc; ///< Null if the module failed.
   api::SuiteResult Summary;
   api::PipelineResult Pipeline;
-  ir::Program Prog;
-  unsigned Skipped = 0;
+  ir::Program Original;  ///< As parsed (run's before/after baseline).
+  ir::Program Optimized; ///< Original after the proven passes.
+  bool Ran = false;      ///< False: refused or bad input; see Exit.
+  int Exit = ExitAllSound;
+
+  support::Telemetry *telemetry() const {
+    return Svc ? Svc->telemetry() : nullptr;
+  }
 };
 
-std::optional<GatedPipeline> gateAndOptimize(api::CobaltContext &Ctx,
-                                             const char *ModulePath,
-                                             const char *ProgramPath,
-                                             const cli::CommonOptions &Opts,
-                                             int &Exit) {
-  auto Module = Ctx.loadModuleFile(ModulePath);
+GatedPipeline gateAndOptimize(const char *ModulePath,
+                              const char *ProgramPath,
+                              const cli::CommonOptions &Opts) {
+  GatedPipeline G;
+  G.Exit = ExitUsage;
+  support::Expected<CobaltModule> Module = api::loadModule(ModulePath);
   if (!Module) {
     std::fprintf(stderr, "%s\n", Module.error().str().c_str());
-    Exit = ExitUsage;
-    return std::nullopt;
+    return G;
   }
-  auto Prog = Ctx.loadProgramFile(ProgramPath);
+  support::Expected<ir::Program> Prog = api::loadProgram(ProgramPath);
   if (!Prog) {
     std::fprintf(stderr, "%s: %s\n", ProgramPath,
                  Prog.error().str().c_str());
-    Exit = ExitUsage;
-    return std::nullopt;
+    return G;
   }
-  CobaltModule Defs = *Module;
-  Ctx.addModule(std::move(*Module));
+  G.Original = std::move(*Prog);
+  G.Svc = api::CobaltService::Builder()
+              .config(Opts.Config)
+              .addModule(std::move(*Module))
+              .build();
 
   if (!Opts.ReportJson)
     std::printf("== soundness gate ==\n");
-  GatedPipeline G;
-  G.Prog = std::move(*Prog);
-  G.Summary = checkModule(Ctx, Defs, Opts, /*Quiet=*/Opts.ReportJson);
+  G.Summary = checkModule(*G.Svc, Opts, /*Quiet=*/Opts.ReportJson);
 
-  size_t Total = Defs.Analyses.size() + Defs.Optimizations.size();
+  size_t Total = G.Svc->definitionCount();
   size_t Proven = G.Summary.ProvenAnalyses.size() +
                   G.Summary.ProvenOptimizations.size();
   bool AllProven = G.Summary.Unsound == 0 && G.Summary.Unproven == 0 &&
@@ -479,18 +454,28 @@ std::optional<GatedPipeline> gateAndOptimize(api::CobaltContext &Ctx,
                  "refusing to run: module contains %s definitions "
                  "(use --keep-going to apply the proven subset)\n",
                  G.Summary.Unsound > 0 ? "rejected" : "unproven");
-    Exit = exitCodeFor(G.Summary, /*PipelineDegraded=*/false);
-    return std::nullopt;
+    G.Exit = api::CobaltService::exitCodeFor(G.Summary,
+                                             /*PipelineDegraded=*/false);
+    return G;
   }
   if (!AllProven && !Opts.ReportJson)
     std::printf("\n== keep-going: applying the proven subset only ==\n");
-  G.Skipped = static_cast<unsigned>(Total - Proven);
-  if (G.Skipped && !Opts.ReportJson)
-    std::printf("  skipped %u unproven definition(s)\n", G.Skipped);
+  unsigned Skipped = static_cast<unsigned>(Total - Proven);
+  if (Skipped && !Opts.ReportJson)
+    std::printf("  skipped %u unproven definition(s)\n", Skipped);
 
   if (!Opts.ReportJson)
     std::printf("\n== optimizing ==\n");
-  G.Pipeline = Ctx.runPipeline(G.Prog, G.Summary.provenPassNames());
+  api::PipelineRequest Req;
+  Req.Prog = G.Original;
+  Req.PassNames = G.Summary.provenPassNames();
+  Req.SelectedOnly = true;
+  api::PipelineResponse Resp = G.Svc->run(std::move(Req));
+  G.Pipeline = std::move(Resp.Result);
+  G.Optimized = std::move(Resp.Prog);
+  for (const engine::PassReport &R : G.Pipeline.Reports)
+    for (const support::Remark &Rem : R.Remarks)
+      printRemark(Rem, Opts);
   if (!Opts.ReportJson) {
     for (const engine::PassReport &R : G.Pipeline.Reports) {
       if (R.AppliedCount)
@@ -509,103 +494,91 @@ std::optional<GatedPipeline> gateAndOptimize(api::CobaltContext &Ctx,
     }
     std::printf("  total rewrites: %u\n", G.Pipeline.Applied);
   }
-  Exit = exitCodeFor(G.Summary, G.Pipeline.Degraded);
+  G.Ran = true;
+  G.Exit = api::CobaltService::exitCodeFor(G.Summary, G.Pipeline.Degraded);
   return G;
 }
 
 int cmdOpt(const char *ModulePath, const char *ProgramPath,
            const cli::CommonOptions &Opts) {
-  api::CobaltContext Ctx(Opts.Config);
-  attachRemarks(Ctx, Opts);
-  int Exit = ExitAllSound;
-  auto G = gateAndOptimize(Ctx, ModulePath, ProgramPath, Opts, Exit);
-  if (!G) {
-    emitTelemetry(Ctx, Opts, nullptr);
-    return Exit;
+  GatedPipeline G = gateAndOptimize(ModulePath, ProgramPath, Opts);
+  if (!G.Ran) {
+    emitTelemetry(G.telemetry(), Opts, nullptr);
+    return G.Exit;
   }
 
   if (Opts.ReportJson) {
     std::string Out = "{\n  \"command\": \"opt\",\n";
-    api::emitDefinitionsJson(Out, G->Summary.Reports);
+    api::emitDefinitionsJson(Out, G.Summary.Reports);
     Out += ",\n";
-    api::emitPipelineJson(Out, G->Pipeline.Reports);
+    api::emitPipelineJson(Out, G.Pipeline.Reports);
     Out += ",\n  \"optimized_il\": \"" +
-           api::jsonEscape(ir::toString(G->Prog)) + "\"";
-    emitTelemetry(Ctx, Opts, &Out);
-    Out += ",\n  \"exit\": " + std::to_string(Exit) + "\n}\n";
+           api::jsonEscape(ir::toString(G.Optimized)) + "\"";
+    emitTelemetry(G.telemetry(), Opts, &Out);
+    Out += ",\n  \"exit\": " + std::to_string(G.Exit) + "\n}\n";
     std::fputs(Out.c_str(), stdout);
-    return Exit;
+    return G.Exit;
   }
-  std::printf("\n%s\n", ir::toString(G->Prog).c_str());
-  emitTelemetry(Ctx, Opts, nullptr);
-  return Exit;
+  std::printf("\n%s\n", ir::toString(G.Optimized).c_str());
+  emitTelemetry(G.telemetry(), Opts, nullptr);
+  return G.Exit;
 }
 
 int cmdRun(const char *ModulePath, const char *ProgramPath,
            const char *InputText, const cli::CommonOptions &Opts) {
-  api::CobaltContext Ctx(Opts.Config);
-  attachRemarks(Ctx, Opts);
-  int Exit = ExitAllSound;
-
-  // Keep the pristine program for the before/after comparison.
-  auto Original = Ctx.loadProgramFile(ProgramPath);
-  auto G = gateAndOptimize(Ctx, ModulePath, ProgramPath, Opts, Exit);
-  if (!G) {
-    emitTelemetry(Ctx, Opts, nullptr);
-    return Exit;
-  }
-  if (!Original) {
-    std::fprintf(stderr, "%s: %s\n", ProgramPath,
-                 Original.error().str().c_str());
-    return ExitUsage;
+  GatedPipeline G = gateAndOptimize(ModulePath, ProgramPath, Opts);
+  if (!G.Ran) {
+    emitTelemetry(G.telemetry(), Opts, nullptr);
+    return G.Exit;
   }
 
   int64_t Input = InputText ? std::atoll(InputText) : 0;
-  ir::Interpreter IO(*Original), IT(G->Prog);
+  ir::Interpreter IO(G.Original), IT(G.Optimized);
   ir::RunResult RO = IO.run(Input), RT = IT.run(Input);
 
   if (Opts.ReportJson) {
     std::string Out = "{\n  \"command\": \"run\",\n";
-    api::emitDefinitionsJson(Out, G->Summary.Reports);
+    api::emitDefinitionsJson(Out, G.Summary.Reports);
     Out += ",\n";
-    api::emitPipelineJson(Out, G->Pipeline.Reports);
+    api::emitPipelineJson(Out, G.Pipeline.Reports);
     Out += ",\n  \"input\": " + std::to_string(Input);
     Out += ",\n  \"original_result\": \"" + api::jsonEscape(RO.str()) +
            "\"";
     Out += ",\n  \"optimized_result\": \"" + api::jsonEscape(RT.str()) +
            "\"";
-    emitTelemetry(Ctx, Opts, &Out);
-    Out += ",\n  \"exit\": " + std::to_string(Exit) + "\n}\n";
+    emitTelemetry(G.telemetry(), Opts, &Out);
+    Out += ",\n  \"exit\": " + std::to_string(G.Exit) + "\n}\n";
     std::fputs(Out.c_str(), stdout);
-    return Exit;
+    return G.Exit;
   }
 
-  std::printf("\n%s\n", ir::toString(G->Prog).c_str());
+  std::printf("\n%s\n", ir::toString(G.Optimized).c_str());
   std::printf("main(%lld): original %s, optimized %s\n",
               static_cast<long long>(Input), RO.str().c_str(),
               RT.str().c_str());
-  emitTelemetry(Ctx, Opts, nullptr);
-  return Exit;
+  emitTelemetry(G.telemetry(), Opts, nullptr);
+  return G.Exit;
 }
 
 int cmdValidate(const char *OrigPath, const char *CandPath,
                 const cli::CommonOptions &Opts) {
-  api::CobaltContext Ctx(Opts.Config);
-  auto Orig = Ctx.loadProgramFile(OrigPath);
+  support::Expected<ir::Program> Orig = api::loadProgram(OrigPath);
   if (!Orig) {
     std::fprintf(stderr, "%s: %s\n", OrigPath, Orig.error().str().c_str());
     return ExitUsage;
   }
-  auto Cand = Ctx.loadProgramFile(CandPath);
+  support::Expected<ir::Program> Cand = api::loadProgram(CandPath);
   if (!Cand) {
     std::fprintf(stderr, "%s: %s\n", CandPath, Cand.error().str().c_str());
     return ExitUsage;
   }
 
+  std::shared_ptr<api::CobaltService> Svc =
+      api::CobaltService::Builder().config(Opts.Config).build();
   api::ValidateRequest VR;
   VR.Original = std::move(*Orig);
   VR.Candidate = std::move(*Cand);
-  api::ValidateResponse R = Ctx.service()->validate(std::move(VR));
+  api::ValidateResponse R = Svc->validate(std::move(VR));
   if (!R.ok()) {
     std::fprintf(stderr, "cobaltc: %s\n", R.Err.str().c_str());
     return ExitUsage;
@@ -615,14 +588,14 @@ int cmdValidate(const char *OrigPath, const char *CandPath,
   if (Opts.ReportJson) {
     std::string Out = "{\n  \"command\": \"validate\",\n";
     api::emitValidationJson(Out, R.Report);
-    emitTelemetry(Ctx, Opts, &Out);
+    emitTelemetry(Svc->telemetry(), Opts, &Out);
     Out += ",\n  \"exit\": " + std::to_string(Exit) + "\n}\n";
     std::fputs(Out.c_str(), stdout);
     return Exit;
   }
 
   std::printf("%s", R.Report.str().c_str());
-  emitTelemetry(Ctx, Opts, nullptr);
+  emitTelemetry(Svc->telemetry(), Opts, nullptr);
   return Exit;
 }
 

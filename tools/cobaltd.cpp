@@ -41,18 +41,13 @@
 //===----------------------------------------------------------------------===//
 
 #include "api/Service.h"
-#include "opts/StdlibCobalt.h"
 #include "service/Daemon.h"
-#include "support/Diagnostics.h"
 #include "support/FaultInjection.h"
 
 #include "Flags.h"
 
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -96,30 +91,6 @@ bool writeTextFile(const std::string &Path, const std::string &Text) {
   return (std::fclose(F) == 0) && Ok;
 }
 
-bool loadModuleInto(api::CobaltService::Builder &B, const char *Path) {
-  std::string Text;
-  if (std::strcmp(Path, "stdlib") == 0) {
-    Text = opts::StdlibCobaltSource;
-  } else {
-    std::ifstream In(Path);
-    if (!In) {
-      std::fprintf(stderr, "cobaltd: cannot read '%s'\n", Path);
-      return false;
-    }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Text = Buf.str();
-  }
-  DiagnosticEngine Diags;
-  std::optional<CobaltModule> Module = parseCobalt(Text, Diags);
-  if (!Module) {
-    std::fprintf(stderr, "cobaltd: %s: %s\n", Path, Diags.str().c_str());
-    return false;
-  }
-  B.addModule(std::move(*Module));
-  return true;
-}
-
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -144,9 +115,15 @@ int main(int Argc, char **Argv) {
 
   api::CobaltService::Builder B;
   B.config(Opts.Config);
-  for (const char *Path : Positional)
-    if (!loadModuleInto(B, Path))
+  for (const char *Path : Positional) {
+    support::Expected<CobaltModule> Module = api::loadModule(Path);
+    if (!Module) {
+      std::fprintf(stderr, "cobaltd: %s: %s\n", Path,
+                   Module.error().Message.c_str());
       return 2;
+    }
+    B.addModule(std::move(*Module));
+  }
   std::shared_ptr<api::CobaltService> Svc = B.build();
   if (support::Telemetry *T = Svc->telemetry())
     if (Opts.FlightEvents != 0)
@@ -179,20 +156,15 @@ int main(int Argc, char **Argv) {
   D.stop();
   ActiveDaemon = nullptr;
 
-  // Lifetime telemetry (satellite of the PR-6 daemon: these flags were
-  // silently accepted-and-ignored before). Failures warn and never
-  // change the exit code.
-  if (!Opts.TraceOut.empty() || !Opts.MetricsOut.empty()) {
-    support::Telemetry *T = Svc->telemetry();
-    std::string Trace =
-        T ? T->Trace.json() : std::string("{\"traceEvents\": []}\n");
-    std::string Metrics =
-        T ? T->Metrics.json() : support::MetricsRegistry().json();
-    if (!Opts.TraceOut.empty() && !writeTextFile(Opts.TraceOut, Trace))
+  // Lifetime telemetry: --trace-out=/--metrics-out= switched the session
+  // on (Flags.cpp). Failures warn and never change the exit code.
+  if (support::Telemetry *T = Svc->telemetry()) {
+    if (!Opts.TraceOut.empty() &&
+        !writeTextFile(Opts.TraceOut, T->Trace.json()))
       std::fprintf(stderr, "cobaltd: warning: cannot write trace to '%s'\n",
                    Opts.TraceOut.c_str());
     if (!Opts.MetricsOut.empty() &&
-        !writeTextFile(Opts.MetricsOut, Metrics))
+        !writeTextFile(Opts.MetricsOut, T->Metrics.json()))
       std::fprintf(stderr,
                    "cobaltd: warning: cannot write metrics to '%s'\n",
                    Opts.MetricsOut.c_str());
