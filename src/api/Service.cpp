@@ -6,9 +6,9 @@
 
 #include "api/Service.h"
 
+#include "checker/VerdictStore.h"
 #include "ir/Parser.h"
 #include "opts/StdlibCobalt.h"
-#include "support/PersistentCache.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
@@ -103,33 +103,25 @@ CobaltService::CobaltService(CobaltConfig C, std::vector<LabelDef> Ls,
     : Config(std::move(C)), Labels(std::move(Ls)), Analyses(std::move(As)),
       Optimizations(std::move(Os)),
       Pool(std::make_unique<support::ThreadPool>(Config.Jobs)),
-      Cache(std::make_shared<support::PersistentCache>()) {
+      Store(std::make_shared<checker::VerdictStore>()) {
   // The master registry: every per-request checker references it, so it
   // must carry all labels + declared analysis labels before requests run.
   for (const LabelDef &Def : Labels)
-    ProtoPM.defineLabel(Def);
+    RegistryPM.defineLabel(Def);
   for (const PureAnalysis &A : Analyses)
-    ProtoPM.addAnalysis(A);
+    RegistryPM.addAnalysis(A);
   for (const Optimization &O : Optimizations)
-    ProtoPM.addOptimization(O);
+    RegistryPM.addOptimization(O);
 
-  // Two-tier verdict store: the hot tier is what makes a warm daemon
-  // fast; the disk tier is what makes a restarted one warm.
+  // The store's memory is what makes a warm daemon fast; its disk tier
+  // is what makes a restarted one warm.
   if (!Config.CacheDir.empty())
-    Cache->openTiered(Config.CacheDir, "verdict", /*Version=*/3);
-  else
-    Cache->openMemory();
+    Store->open(Config.CacheDir);
 
   if (Config.Telemetry) {
     Telem = std::make_unique<support::Telemetry>();
     preregisterHeadlineCounters(*Telem);
   }
-
-  Proto = std::make_unique<checker::SoundnessChecker>(ProtoPM.registry(),
-                                                      Analyses);
-  Proto->setPolicy(Config.Prover);
-  Proto->setThreadPool(Pool.get());
-  Proto->setSharedCache(Cache);
 }
 
 CobaltService::~CobaltService() = default;
@@ -196,7 +188,8 @@ support::Expected<ir::Program> api::loadProgram(const std::string &Path) {
 // Checking.
 //===----------------------------------------------------------------------===//
 
-bool CobaltService::resolveTargets(const CheckRequest &Req,
+bool CobaltService::resolveTargets(const checker::SoundnessChecker &Checker,
+                                   const CheckRequest &Req,
                                    std::vector<Target> &Out,
                                    support::Error &Err) const {
   auto Wanted = [&Req](const std::string &Name) {
@@ -210,13 +203,13 @@ bool CobaltService::resolveTargets(const CheckRequest &Req,
   std::set<std::string> Seen;
   for (size_t I = 0; I < Analyses.size(); ++I)
     if (Wanted(Analyses[I].Name)) {
-      Out.push_back({true, I, Proto->fingerprintAnalysis(Analyses[I])});
+      Out.push_back({true, I, Checker.fingerprintAnalysis(Analyses[I])});
       Seen.insert(Analyses[I].Name);
     }
   for (size_t I = 0; I < Optimizations.size(); ++I)
     if (Wanted(Optimizations[I].Name)) {
       Out.push_back(
-          {false, I, Proto->fingerprintOptimization(Optimizations[I])});
+          {false, I, Checker.fingerprintOptimization(Optimizations[I])});
       Seen.insert(Optimizations[I].Name);
     }
   for (const std::string &N : Req.Only)
@@ -230,16 +223,17 @@ bool CobaltService::resolveTargets(const CheckRequest &Req,
 }
 
 void CobaltService::configureChecker(checker::SoundnessChecker &Checker,
-                                     const CheckRequest &Req) const {
+                                     unsigned Jobs, int64_t BudgetMs,
+                                     uint64_t FaultKeySalt) const {
   checker::ProverPolicy Policy = Config.Prover;
-  if (Req.BudgetMs >= 0)
-    Policy.BudgetMs = static_cast<uint64_t>(Req.BudgetMs);
+  if (BudgetMs >= 0)
+    Policy.BudgetMs = static_cast<uint64_t>(BudgetMs);
   Checker.setPolicy(Policy);
   // Jobs == 1 means genuinely sequential on the calling thread; anything
   // else shares the service pool (its width is fixed at build time).
-  Checker.setThreadPool(Req.Jobs == 1 ? nullptr : Pool.get());
-  Checker.setSharedCache(Cache);
-  Checker.setFaultKeySalt(Req.FaultKeySalt);
+  Checker.setThreadPool(Jobs == 1 ? nullptr : Pool.get());
+  Checker.setSharedCache(Store);
+  Checker.setFaultKeySalt(FaultKeySalt);
 }
 
 CheckResponse CobaltService::check(const CheckRequest &Req) {
@@ -254,54 +248,50 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
   support::metricAdd("service.requests.check");
   support::TraceSpan Span("service", "check");
 
+  // The request's checker fingerprints the targets and proves whatever
+  // this request leads. The service claims and settles those verdicts
+  // itself, so the checker's own claiming is off.
+  checker::SoundnessChecker Checker(RegistryPM.registry(), Analyses);
+  configureChecker(Checker, Req.Jobs, Req.BudgetMs, Req.FaultKeySalt);
+  checker::ProverPolicy LeaderPolicy = Checker.policy();
+  LeaderPolicy.CacheVerdicts = false;
+  Checker.setPolicy(LeaderPolicy);
+
   CheckResponse Resp;
   std::vector<Target> Targets;
-  if (!resolveTargets(Req, Targets, Resp.Err)) {
+  if (!resolveTargets(Checker, Req, Targets, Resp.Err)) {
     Resp.Status = ResponseStatus::RS_Error;
     support::metricAdd("service.requests.error");
     return Resp;
   }
 
-  // Partition into leaders (we prove) and waiters (someone else proved
-  // or is proving) and take the admission decision — atomically, so two
-  // racing requests cannot both believe they fit under the bound.
-  struct Leader {
-    size_t TargetIdx;
-    std::promise<ReportPtr> Promise;
-    unsigned Reserved = 0;
-  };
-  std::vector<Leader> Leaders;
-  std::vector<ReportFuture> Futures(Targets.size());
-  std::vector<bool> IsWaiter(Targets.size(), false);
+  // Claim every target — leaders prove, the rest are served by the store
+  // — and take the admission decision atomically, so two racing requests
+  // cannot both believe they fit under the bound.
+  std::vector<checker::VerdictStore::Claim> Claims;
+  std::vector<size_t> Leaders; ///< Indices into Targets.
+  uint64_t Estimate = 0;       ///< Obligations the leads will prove.
   {
     std::lock_guard<std::mutex> Lock(ServiceMutex);
-    uint64_t Estimate = 0;
-    std::vector<size_t> LeaderIdx;
+    Claims.reserve(Targets.size());
     for (size_t I = 0; I < Targets.size(); ++I) {
-      auto It = Memo.find(Targets[I].Fingerprint);
-      if (It != Memo.end()) {
-        Futures[I] = It->second;
-        IsWaiter[I] = true;
-        // Still-proving fingerprint: record this request's trace ID so
-        // the leader's prove span links back to every joined request.
-        auto FIt = MemoFollowers.find(Targets[I].Fingerprint);
-        if (FIt != MemoFollowers.end())
-          FIt->second.push_back(TraceId);
+      Claims.push_back(Store->claim(Targets[I].Fingerprint, TraceId));
+      if (!Claims.back().leads())
         continue;
-      }
-      LeaderIdx.push_back(I);
+      Leaders.push_back(I);
       auto Known = KnownObligations.find(Targets[I].Fingerprint);
       // 16 ≈ the obligation count of a mid-sized optimization; only the
       // first proving of a fingerprint ever uses the default.
       Estimate += Known != KnownObligations.end() ? Known->second : 16;
     }
     bool Idle = InFlightObligations == 0;
-    if (!LeaderIdx.empty() && Config.MaxInFlightObligations != 0 &&
-        !Idle &&
+    if (!Leaders.empty() && Config.MaxInFlightObligations != 0 && !Idle &&
         InFlightObligations + Estimate > Config.MaxInFlightObligations) {
-      // Turned away with no side effects: nothing was inserted into the
-      // memo, nothing reserved. (Idle services always admit, so one
+      // Turned away with no side effects: dropping the claims under the
+      // lock forgets every key this request led before anyone joined, and
+      // nothing was reserved. (Idle services always admit, so one
       // oversized suite cannot be starved forever.)
+      Claims.clear();
       support::metricAdd("service.admission.rejected");
       support::metricAdd("service.requests.retry");
       support::flightNote("admission.reject",
@@ -319,51 +309,36 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
               std::to_string(Config.MaxInFlightObligations));
       return Resp;
     }
-    for (size_t I : LeaderIdx) {
-      Leader L;
-      L.TargetIdx = I;
-      auto Known = KnownObligations.find(Targets[I].Fingerprint);
-      L.Reserved = Known != KnownObligations.end() ? Known->second : 16;
-      InFlightObligations += L.Reserved;
-      Futures[I] = L.Promise.get_future().share();
-      Memo.emplace(Targets[I].Fingerprint, Futures[I]);
-      MemoFollowers.emplace(Targets[I].Fingerprint,
-                            std::vector<uint64_t>());
-      Leaders.push_back(std::move(L));
-    }
+    InFlightObligations += Estimate;
   }
+  const size_t Served = Targets.size() - Leaders.size();
   support::metricAdd("service.dedup.leader", Leaders.size());
-  support::metricAdd("service.dedup.await",
-                     Targets.size() - Leaders.size());
+  support::metricAdd("service.dedup.await", Served);
   if (!Leaders.empty())
     support::flightNote("dedup.leader",
                         std::to_string(Leaders.size()) +
                             " definition(s) to prove");
-  if (Targets.size() != Leaders.size())
-    support::flightNote("dedup.await",
-                        std::to_string(Targets.size() - Leaders.size()) +
-                            " definition(s) served from dedup memo");
+  if (Served != 0)
+    support::flightNote("dedup.await", std::to_string(Served) +
+                                           " definition(s) served from memo");
 
-  // Prove the leader set on a fresh per-request checker. checkSuite fans
-  // every leader definition's obligations out at once, so one request
-  // overlaps all of its obligations.
+  // Prove the leader set. checkSuite fans every leader definition's
+  // obligations out at once, so one request overlaps all of its
+  // obligations.
   if (!Leaders.empty()) {
     std::vector<PureAnalysis> LeadAs;
     std::vector<Optimization> LeadOs;
-    for (const Leader &L : Leaders) {
-      const Target &T = Targets[L.TargetIdx];
+    for (size_t I : Leaders) {
+      const Target &T = Targets[I];
       if (T.IsAnalysis)
         LeadAs.push_back(Analyses[T.Index]);
       else
         LeadOs.push_back(Optimizations[T.Index]);
     }
 
-    checker::SoundnessChecker Checker(ProtoPM.registry(), Analyses);
-    configureChecker(Checker, Req);
-
     // The leader's prove span. Once proving finishes, it is tagged with
     // the trace IDs of every request that joined one of this leader's
-    // futures mid-flight — the cross-request join made visible.
+    // claims mid-flight — the cross-request join made visible.
     support::TraceSpan Prove("service", "prove");
     if (Prove.enabled())
       Prove.arg("leaders", static_cast<uint64_t>(Leaders.size()));
@@ -382,20 +357,16 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
         Reports = Checker.checkSuite(LeadAs, LeadOs);
       }
     } catch (...) {
-      // Fulfill every waiter with the exception, then unwind our own
-      // bookkeeping; later requests will re-prove (memo entries gone).
+      // Waiters receive the exception and the keys are forgotten, so
+      // later requests re-prove.
       std::exception_ptr E = std::current_exception();
       {
         std::lock_guard<std::mutex> Lock(ServiceMutex);
-        for (Leader &L : Leaders) {
-          Memo.erase(Targets[L.TargetIdx].Fingerprint);
-          MemoFollowers.erase(Targets[L.TargetIdx].Fingerprint);
-          InFlightObligations -= L.Reserved;
-        }
+        InFlightObligations -= Estimate;
       }
-      for (Leader &L : Leaders)
-        L.Promise.set_exception(E);
-      std::rethrow_exception(E);
+      for (size_t I : Leaders)
+        Store->abandon(Claims[I], E);
+      throw;
     }
 
     // checkSuite returns analyses first, then optimizations — the same
@@ -403,56 +374,35 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
     // lists analyses before optimizations).
     assert(Reports.size() == Leaders.size());
     {
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      TotalCacheHits += Checker.cacheHits();
+      std::lock_guard<std::mutex> Lock(ServiceMutex);
+      InFlightObligations -= Estimate;
+      for (size_t R = 0; R < Leaders.size(); ++R)
+        KnownObligations[Targets[Leaders[R]].Fingerprint] =
+            static_cast<unsigned>(Reports[R].Obligations.size());
     }
     std::vector<uint64_t> FollowerIds;
-    {
-      std::lock_guard<std::mutex> Lock(ServiceMutex);
-      for (size_t R = 0; R < Leaders.size(); ++R) {
-        const Target &T = Targets[Leaders[R].TargetIdx];
-        InFlightObligations -= Leaders[R].Reserved;
-        KnownObligations[T.Fingerprint] =
-            static_cast<unsigned>(Reports[R].Obligations.size());
-        auto FIt = MemoFollowers.find(T.Fingerprint);
-        if (FIt != MemoFollowers.end()) {
-          FollowerIds.insert(FollowerIds.end(), FIt->second.begin(),
-                             FIt->second.end());
-          MemoFollowers.erase(FIt);
-        }
-        // Unproven verdicts are transient (prover limits): current
-        // waiters still receive them, but the memo forgets, mirroring
-        // the verdict cache's never-cache-Unproven rule.
-        if (Reports[R].V == checker::CheckReport::Verdict::V_Unproven)
-          Memo.erase(T.Fingerprint);
-      }
+    for (size_t R = 0; R < Leaders.size(); ++R) {
+      std::vector<uint64_t> Ids =
+          Store->settle(Claims[Leaders[R]], std::move(Reports[R]));
+      FollowerIds.insert(FollowerIds.end(), Ids.begin(), Ids.end());
     }
-    if (Prove.enabled() && !FollowerIds.empty())
+    if (!FollowerIds.empty())
       Prove.linked(std::move(FollowerIds));
-    for (size_t R = 0; R < Leaders.size(); ++R)
-      Leaders[R].Promise.set_value(
-          std::make_shared<const checker::CheckReport>(
-              std::move(Reports[R])));
   }
 
-  // Collect every report in input order (leaders resolve instantly from
-  // their own futures; waiters block on their leader's).
+  // Collect every report in input order (leaders' and hits' claims are
+  // settled; joined ones block on their leader).
   std::vector<checker::CheckReport> Reports;
   Reports.reserve(Targets.size());
-  unsigned Served = 0;
   size_t AnalysisCount = 0;
   for (size_t I = 0; I < Targets.size(); ++I) {
-    Reports.push_back(*Futures[I].get());
-    if (IsWaiter[I])
-      ++Served;
+    Reports.push_back(*Claims[I].get());
     if (Targets[I].IsAnalysis)
       ++AnalysisCount;
   }
-  if (Served != 0) {
+  if (Served != 0)
     support::metricAdd("service.dedup.served", Served);
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    TotalCacheHits += Served;
-  }
+  TotalCacheHits += static_cast<unsigned>(Served);
 
   Resp.Suite = assembleSuite(std::move(Reports), AnalysisCount, Resp.Remarks);
   return Resp;
@@ -499,11 +449,6 @@ SuiteResult api::assembleSuite(std::vector<checker::CheckReport> Reports,
       Suite.Conditional.push_back(R.Name);
   }
   return Suite;
-}
-
-unsigned CobaltService::cacheHits() const {
-  std::lock_guard<std::mutex> Lock(StatsMutex);
-  return TotalCacheHits;
 }
 
 int CobaltService::exitCodeFor(const SuiteResult &Suite,
@@ -558,33 +503,15 @@ ValidateResponse CobaltService::validate(ValidateRequest Req) {
     return Resp;
   }
 
-  // Leader/waiter dedup on the pair fingerprint: identical concurrent
-  // requests collapse into one prover run, and every caller receives
-  // the leader's report object (byte-identical serializations).
-  const uint64_t Fp =
-      validate::fingerprintPair(Req.Original, Req.Candidate, Req.Options);
-  bool IsLeader = false;
-  std::promise<ValidationReportPtr> Promise;
-  ValidationFuture Future;
-  {
-    std::lock_guard<std::mutex> Lock(ServiceMutex);
-    auto It = ValidateMemo.find(Fp);
-    if (It != ValidateMemo.end()) {
-      Future = It->second;
-    } else {
-      IsLeader = true;
-      Future = Promise.get_future().share();
-      ValidateMemo.emplace(Fp, Future);
-    }
-  }
-
-  if (IsLeader) {
-    checker::SoundnessChecker Checker(ProtoPM.registry(), Analyses);
-    CheckRequest Cfg;
-    Cfg.Jobs = Req.Jobs;
-    Cfg.BudgetMs = Req.BudgetMs;
-    Cfg.FaultKeySalt = Req.FaultKeySalt;
-    configureChecker(Checker, Cfg);
+  // Leader/waiter dedup on the pair fingerprint: identical requests
+  // collapse into one prover run, and every caller receives the leader's
+  // report object (byte-identical serializations).
+  auto Claim = Validations.claim(
+      validate::fingerprintPair(Req.Original, Req.Candidate, Req.Options));
+  const bool Leads = Claim.leads();
+  if (Leads) {
+    checker::SoundnessChecker Checker(RegistryPM.registry(), Analyses);
+    configureChecker(Checker, Req.Jobs, Req.BudgetMs, Req.FaultKeySalt);
 
     support::TraceSpan Prove("service", "validate.prove");
     validate::ValidationReport Report;
@@ -602,34 +529,24 @@ ValidateResponse CobaltService::validate(ValidateRequest Req) {
                                             Checker, Req.Options);
       }
     } catch (...) {
-      std::exception_ptr E = std::current_exception();
-      {
-        std::lock_guard<std::mutex> Lock(ServiceMutex);
-        ValidateMemo.erase(Fp);
-      }
-      Promise.set_exception(E);
-      std::rethrow_exception(E);
+      Validations.abandon(Claim, std::current_exception());
+      throw;
     }
-    {
-      std::lock_guard<std::mutex> Lock(StatsMutex);
-      TotalCacheHits += Checker.cacheHits();
-    }
+    TotalCacheHits += Checker.cacheHits();
     // Unknown is transient (prover limits, alignment caps): current
     // waiters receive it, later requests re-validate.
-    if (Report.V == validate::Verdict::V_Unknown) {
-      std::lock_guard<std::mutex> Lock(ServiceMutex);
-      ValidateMemo.erase(Fp);
-    }
-    Promise.set_value(std::make_shared<const validate::ValidationReport>(
-        std::move(Report)));
+    bool Keep = Report.V != validate::Verdict::V_Unknown;
+    Validations.settle(
+        Claim,
+        std::make_shared<const validate::ValidationReport>(std::move(Report)),
+        Keep);
   } else {
     support::metricAdd("service.dedup.await");
   }
 
-  Resp.Report = *Future.get();
-  if (!IsLeader) {
+  Resp.Report = *Claim.get();
+  if (!Leads) {
     support::metricAdd("service.dedup.served");
-    std::lock_guard<std::mutex> Lock(StatsMutex);
     ++TotalCacheHits;
   }
   return Resp;

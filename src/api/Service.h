@@ -26,10 +26,10 @@
 ///
 ///  * **CobaltService** — everything that is expensive and shareable,
 ///    frozen at build() time: the registered definitions and label
-///    registry, the thread pool, the two-tier verdict cache, the
-///    telemetry session, and the obligation-dedup memo. One service, many
-///    concurrent callers; after build() nothing about it mutates except
-///    caches and counters (all internally synchronized).
+///    registry, the thread pool, the verdict store, and the telemetry
+///    session. One service, many concurrent callers; after build()
+///    nothing about it mutates except memos and counters (all internally
+///    synchronized).
 ///
 ///  * **CheckRequest / PipelineRequest** — cheap per-call value types.
 ///    Each carries its *own* jobs / budget / fault-key overrides, so two
@@ -44,15 +44,15 @@
 ///
 /// Concurrent requests proving the same definition would otherwise each
 /// discharge its obligations. The service keys every definition by the
-/// checker's structural fingerprint and keeps a memo
-/// `fingerprint → shared_future<report>`: the first requester (the
-/// *leader*) proves, every concurrent or later requester awaits the
-/// shared future and receives the leader's report object verbatim —
-/// which is also what makes N clients' responses byte-identical.
-/// Definitive verdicts stay memoized for the service's lifetime;
-/// Unproven reports are handed to current waiters but evicted, so a
-/// later request re-proves them (mirroring the verdict cache's
-/// never-cache-Unproven rule).
+/// checker's structural fingerprint and claims it in its
+/// checker::VerdictStore, the one single-flight memo of decoded reports
+/// in front of the disk tier: the first requester (the *leader*) proves
+/// and settles, every concurrent or later requester receives the
+/// leader's report object verbatim — which is also what makes N
+/// clients' responses byte-identical. Definitive verdicts stay for the
+/// service's lifetime; Unproven reports are handed to current waiters
+/// and forgotten, so a later request re-proves them. Validation requests
+/// dedup the same way on the pair fingerprint.
 ///
 /// ## Admission control
 ///
@@ -72,10 +72,11 @@
 #include "engine/PassManager.h"
 #include "ir/Ast.h"
 #include "support/Expected.h"
+#include "support/SingleFlight.h"
 #include "support/Telemetry.h"
 #include "validate/Validate.h"
 
-#include <future>
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -88,7 +89,6 @@
 namespace cobalt {
 
 namespace support {
-class PersistentCache;
 class ThreadPool;
 } // namespace support
 
@@ -104,8 +104,8 @@ struct CobaltConfig {
   /// every value.
   unsigned Jobs = 1;
   /// When nonempty, proved verdicts persist here across processes
-  /// (see support::PersistentCache). Unusable directories degrade to the
-  /// in-memory cache, they are never an error.
+  /// (the verdict store's disk tier, support::DiskCache). Unusable
+  /// directories degrade to the in-memory store, they are never an error.
   std::string CacheDir;
   /// Collect metrics and trace spans for this service's operations (the
   /// substrate behind cobaltc --trace-out/--metrics-out). Off by
@@ -252,7 +252,7 @@ struct ValidateResponse {
 /// The immutable, shareable verification service. Build once (via
 /// Builder), then issue requests from any number of threads; per-request
 /// state (checkers, pass managers) is constructed fresh inside each call
-/// and the shared state (verdict cache, dedup memo, counters) is
+/// and the shared state (verdict store, validation memo, counters) is
 /// internally synchronized. `cobaltd` serves exactly this object over a
 /// socket; in-process embedders call it directly.
 class CobaltService {
@@ -269,8 +269,8 @@ public:
   /// @{
 
   /// Proves the requested definitions (analyses first, then
-  /// optimizations, in registration order), deduplicating in-flight
-  /// obligations against concurrent requests via the fingerprint memo.
+  /// optimizations, in registration order), deduplicating them against
+  /// concurrent and earlier requests through the verdict store.
   CheckResponse check(const CheckRequest &Req);
 
   /// Runs the registered pipeline over the request's program on a fresh
@@ -279,11 +279,11 @@ public:
   PipelineResponse run(PipelineRequest Req);
 
   /// Translation-validates the request's candidate program against its
-  /// original on a fresh per-request checker. Identical concurrent pairs
-  /// are deduplicated through a fingerprint memo (one prover run, every
-  /// caller receives the leader's report); Unknown verdicts are handed
-  /// to current waiters but never memoized, mirroring the verdict
-  /// cache's never-cache-Unproven rule.
+  /// original on a fresh per-request checker. Identical pairs are
+  /// deduplicated on their fingerprint (one prover run, every caller
+  /// receives the leader's report); Unknown verdicts are handed to
+  /// current waiters but never kept, as the verdict store never keeps
+  /// Unproven.
   ValidateResponse validate(ValidateRequest Req);
   /// @}
 
@@ -295,7 +295,7 @@ public:
 
   /// \name Introspection.
   /// @{
-  const LabelRegistry &registry() const { return ProtoPM.registry(); }
+  const LabelRegistry &registry() const { return RegistryPM.registry(); }
   const std::vector<PureAnalysis> &analyses() const { return Analyses; }
   const std::vector<Optimization> &optimizations() const {
     return Optimizations;
@@ -304,20 +304,16 @@ public:
     return Analyses.size() + Optimizations.size();
   }
   support::ThreadPool &pool() { return *Pool; }
-  /// The service's two-tier verdict store (hot tier always on; disk tier
-  /// behind it when Config.CacheDir is set).
-  const std::shared_ptr<support::PersistentCache> &verdictCache() const {
-    return Cache;
+  /// The service's verdict store (memory, plus the disk tier when
+  /// Config.CacheDir is set).
+  const std::shared_ptr<checker::VerdictStore> &verdictCache() const {
+    return Store;
   }
-  /// Definitions served from any cache tier or from the dedup memo,
-  /// across the service's lifetime.
-  unsigned cacheHits() const;
+  /// Definitions and validation pairs served without proving them (from
+  /// memory, disk, or another request's proving) so far.
+  unsigned cacheHits() const { return TotalCacheHits; }
   /// The telemetry session, or nullptr when Config.Telemetry is off.
   support::Telemetry *telemetry() { return Telem.get(); }
-  /// The prototype checker (service defaults, shared cache attached),
-  /// for single-threaded drivers that call the checker directly (the
-  /// validation adversary). Requests never touch it.
-  checker::SoundnessChecker &prover() { return *Proto; }
   /// @}
 
   /// Suite → CLI exit code, shared by cobaltc and cobaltd so the two
@@ -341,43 +337,32 @@ private:
     size_t Index; ///< Into Analyses or Optimizations.
     uint64_t Fingerprint;
   };
-  using ReportPtr = std::shared_ptr<const checker::CheckReport>;
-  using ReportFuture = std::shared_future<ReportPtr>;
 
-  bool resolveTargets(const CheckRequest &Req, std::vector<Target> &Out,
+  bool resolveTargets(const checker::SoundnessChecker &Checker,
+                      const CheckRequest &Req, std::vector<Target> &Out,
                       support::Error &Err) const;
-  void configureChecker(checker::SoundnessChecker &C,
-                        const CheckRequest &Req) const;
+  /// Applies the service policy and a request's overrides to \p C.
+  void configureChecker(checker::SoundnessChecker &C, unsigned Jobs,
+                        int64_t BudgetMs, uint64_t FaultKeySalt) const;
 
   CobaltConfig Config;
-  /// Registry + definition holder. The per-request pass managers and
-  /// checkers are built from these vectors; ProtoPM's registry is the
-  /// master the checkers reference (it outlives every request).
-  engine::PassManager ProtoPM;
+  /// Registry holder: the per-request pass managers and checkers are
+  /// built from the vectors below; RegistryPM's registry is the master
+  /// the checkers reference (it outlives every request).
+  engine::PassManager RegistryPM;
   std::vector<LabelDef> Labels;
   std::vector<PureAnalysis> Analyses;
   std::vector<Optimization> Optimizations;
   std::unique_ptr<support::ThreadPool> Pool;
-  std::shared_ptr<support::PersistentCache> Cache;
+  std::shared_ptr<checker::VerdictStore> Store;
   std::unique_ptr<support::Telemetry> Telem;
-  std::unique_ptr<checker::SoundnessChecker> Proto;
-
-  /// Guards the dedup memo, the admission ledger, and the obligation
-  /// count estimates — one lock because admission decisions must see a
-  /// consistent leader set.
-  using ValidationReportPtr =
-      std::shared_ptr<const validate::ValidationReport>;
-  using ValidationFuture = std::shared_future<ValidationReportPtr>;
-
-  mutable std::mutex ServiceMutex;
-  std::unordered_map<uint64_t, ReportFuture> Memo;
   /// Dedup memo for validate() requests, keyed by fingerprintPair.
-  std::unordered_map<uint64_t, ValidationFuture> ValidateMemo;
-  /// While a leader is proving a fingerprint, the trace IDs of every
-  /// request that attached to its future. Snapshot into the leader's
-  /// prove-span `linked` list when the proving finishes, then dropped —
-  /// post-completion memo hits are ordinary cache traffic, not joins.
-  std::unordered_map<uint64_t, std::vector<uint64_t>> MemoFollowers;
+  support::SingleFlight<validate::ValidationReport> Validations;
+
+  /// Guards check()'s claims in the verdict store, the admission ledger,
+  /// and the obligation count estimates — one lock because admission
+  /// decisions must see a consistent leader set.
+  mutable std::mutex ServiceMutex;
   uint64_t InFlightObligations = 0;
   /// Actual obligation counts from past provings (admission estimates).
   std::unordered_map<uint64_t, unsigned> KnownObligations;
@@ -388,8 +373,7 @@ private:
   /// subprocess leaders exclusive.
   std::shared_mutex IsolationMutex;
 
-  mutable std::mutex StatsMutex;
-  unsigned TotalCacheHits = 0;
+  std::atomic<unsigned> TotalCacheHits{0};
 };
 
 /// Accumulates definitions + config, then freezes them into a service.

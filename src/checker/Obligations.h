@@ -8,7 +8,7 @@
 /// The obligation layer shared by the rule checker (Soundness.cpp) and the
 /// translation validator (src/validate): a fresh-Z3-context builder for one
 /// proof obligation, and a caller-assembled set of named obligations that
-/// SoundnessChecker::checkObligationSet discharges through the same
+/// SoundnessChecker::checkObligationSets discharges through the same
 /// retry/budget/containment/caching machinery as the paper's F/B
 /// obligations.
 ///
@@ -267,7 +267,7 @@ private:
 /// One named goal of an ObligationSet. The builder closure runs on
 /// whichever thread (or forked prover worker) discharges the obligation;
 /// anything it captures must be immutable and must outlive the
-/// checkObligationSet call.
+/// checkObligationSets call.
 struct ObligationSpec {
   std::string Name;
   std::function<z3::expr(ObligationBuilder &)> Build;
@@ -275,7 +275,7 @@ struct ObligationSpec {
 
 /// A caller-assembled bundle of obligations that proves one externally
 /// defined property (for the validator: "this procedure pair simulates").
-/// Discharged by SoundnessChecker::checkObligationSet with the same
+/// Discharged by SoundnessChecker::checkObligationSets with the same
 /// scheduling, budgets, containment, and (optionally) verdict caching as
 /// rule obligations.
 struct ObligationSet {

@@ -10,6 +10,7 @@
 #include "checker/Obligations.h"
 #include "checker/PatternEncoder.h"
 #include "checker/ProverWorkerPool.h"
+#include "checker/VerdictStore.h"
 #include "ir/Printer.h"
 #include "support/FaultInjection.h"
 #include "support/Telemetry.h"
@@ -428,11 +429,14 @@ struct SoundnessChecker::ObligationTask {
 /// the check call) and read the shared analysis table through ByLabel.
 struct SoundnessChecker::PreparedCheck {
   uint64_t Key = 0;
-  bool CacheHit = false;
   /// Rule/analysis fingerprints cover everything their obligations read,
   /// so those verdicts always cache; caller-assembled ObligationSets opt
   /// in only when their fingerprint makes the same promise.
   bool Cacheable = true;
+  /// The check's stake in the verdict store: empty when caching does not
+  /// cover it, leading while this checker owes the store its verdict.
+  VerdictStore::Claim Claim;
+  bool Served = false; ///< The store answers the claim: nothing to prove.
   CheckReport Report;
   std::shared_ptr<std::map<std::string, const PureAnalysis *>> ByLabel;
   std::vector<ObligationTask> Tasks;
@@ -442,7 +446,7 @@ struct SoundnessChecker::PreparedCheck {
 SoundnessChecker::SoundnessChecker(const LabelRegistry &Registry,
                                    std::vector<PureAnalysis> Analyses)
     : Registry(Registry), Analyses(std::move(Analyses)),
-      Disk(std::make_shared<support::PersistentCache>()) {}
+      Store(std::make_shared<VerdictStore>()) {}
 
 uint64_t
 SoundnessChecker::fingerprintOptimization(const Optimization &O) const {
@@ -473,65 +477,24 @@ uint64_t SoundnessChecker::fingerprintAnalysis(const PureAnalysis &A) const {
 }
 
 bool SoundnessChecker::setCacheDir(const std::string &Dir) {
-  // Version bumps orphan (rather than misread) old entries; bump it when
-  // serializeCheckReport's format, the fingerprint recipe, or the
-  // PersistentCache entry layout changes.
-  // v2: per-obligation rlimit spend.
-  // v3: checksummed self-healing cache entries — pre-checksum entries
-  //     would all be quarantined as corrupt, so orphan them instead.
-  return Disk->open(Dir, "verdict", /*Version=*/3);
+  return Store->open(Dir);
 }
 
-void SoundnessChecker::setSharedCache(
-    std::shared_ptr<support::PersistentCache> Cache) {
-  Disk = Cache ? std::move(Cache)
-               : std::make_shared<support::PersistentCache>();
+void SoundnessChecker::setSharedCache(std::shared_ptr<VerdictStore> S) {
+  Store = S ? std::move(S) : std::make_shared<VerdictStore>();
 }
 
-void SoundnessChecker::clearCache() {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  Cache.clear();
+const support::DiskCache &SoundnessChecker::diskCache() const {
+  return Store->disk();
 }
 
-bool SoundnessChecker::cacheLookup(uint64_t Key, CheckReport &Out) {
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    auto It = Cache.find(Key);
-    if (It != Cache.end()) {
-      Out = It->second;
-      ++CacheHits;
-      support::metricAdd("checker.cache.hits");
-      return true;
-    }
+bool SoundnessChecker::claimVerdict(PreparedCheck &PC) {
+  if (Policy.CacheVerdicts && PC.Cacheable) {
+    PC.Claim = Store->claim(PC.Key);
+    PC.Served = !PC.Claim.leads();
   }
-  if (Disk->enabled()) {
-    if (std::optional<std::string> Blob = Disk->load(Key)) {
-      if (std::optional<CheckReport> R = deserializeCheckReport(*Blob)) {
-        std::lock_guard<std::mutex> Lock(CacheMutex);
-        Cache[Key] = *R;
-        ++CacheHits;
-        support::metricAdd("checker.cache.hits");
-        Out = std::move(*R);
-        return true;
-      }
-    }
-  }
-  support::metricAdd("checker.cache.misses");
-  return false;
-}
-
-void SoundnessChecker::cacheStore(uint64_t Key, const CheckReport &R) {
-  // Only definitive verdicts are cacheable: an unproven verdict reflects
-  // transient prover limits, and a rerun (possibly with a larger budget)
-  // may well decide it.
-  if (R.V == CheckReport::Verdict::V_Unproven)
-    return;
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    Cache[Key] = R;
-  }
-  if (Disk->enabled())
-    Disk->store(Key, serializeCheckReport(R));
+  CacheHits += PC.Served;
+  return PC.Served;
 }
 
 //===----------------------------------------------------------------------===//
@@ -543,12 +506,8 @@ SoundnessChecker::prepareOptimization(const Optimization &O) {
   PreparedCheck PC;
   PC.Key = fingerprintOptimization(O);
   PC.Report.Name = O.Name;
-  if (Policy.CacheVerdicts && cacheLookup(PC.Key, PC.Report)) {
-    PC.Report.CacheHit = true;
-    PC.Report.TotalSeconds = 0.0;
-    PC.CacheHit = true;
+  if (claimVerdict(PC))
     return PC;
-  }
 
   PC.ByLabel =
       std::make_shared<std::map<std::string, const PureAnalysis *>>();
@@ -786,12 +745,8 @@ SoundnessChecker::prepareAnalysis(const PureAnalysis &A) {
   PreparedCheck PC;
   PC.Key = fingerprintAnalysis(A);
   PC.Report.Name = A.Name;
-  if (Policy.CacheVerdicts && cacheLookup(PC.Key, PC.Report)) {
-    PC.Report.CacheHit = true;
-    PC.Report.TotalSeconds = 0.0;
-    PC.CacheHit = true;
+  if (claimVerdict(PC))
     return PC;
-  }
 
   PC.ByLabel =
       std::make_shared<std::map<std::string, const PureAnalysis *>>();
@@ -858,13 +813,8 @@ SoundnessChecker::prepareObligationSet(const ObligationSet &Set) {
   PC.Key = Set.Fingerprint;
   PC.Cacheable = Set.Cacheable;
   PC.Report.Name = Set.Name;
-  if (Policy.CacheVerdicts && Set.Cacheable &&
-      cacheLookup(PC.Key, PC.Report)) {
-    PC.Report.CacheHit = true;
-    PC.Report.TotalSeconds = 0.0;
-    PC.CacheHit = true;
+  if (claimVerdict(PC))
     return PC;
-  }
 
   PC.ByLabel =
       std::make_shared<std::map<std::string, const PureAnalysis *>>();
@@ -881,12 +831,6 @@ SoundnessChecker::prepareObligationSet(const ObligationSet &Set) {
     PC.Tasks.push_back(std::move(T));
   }
   return PC;
-}
-
-CheckReport SoundnessChecker::checkObligationSet(const ObligationSet &Set) {
-  std::vector<PreparedCheck> Checks;
-  Checks.push_back(prepareObligationSet(Set));
-  return std::move(runPrepared(std::move(Checks)).front());
 }
 
 std::vector<CheckReport> SoundnessChecker::checkObligationSets(
@@ -935,6 +879,48 @@ SoundnessChecker::runPrepared(std::vector<PreparedCheck> Checks) {
   support::TraceSpan SuiteSpan("checker", "checkSuite");
   if (SuiteSpan.enabled())
     SuiteSpan.arg("definitions", static_cast<uint64_t>(Checks.size()));
+  try {
+    discharge(Checks);
+  } catch (...) {
+    // Waiters on this checker's leads receive the exception, and the
+    // keys are forgotten so the next claim proves afresh.
+    std::exception_ptr E = std::current_exception();
+    for (PreparedCheck &PC : Checks)
+      if (PC.Claim.leads())
+        Store->abandon(PC.Claim, E);
+    throw;
+  }
+
+  // Settle this checker's leads before waiting on any claim it joined:
+  // two checkers that each lead what the other joined both progress.
+  for (PreparedCheck &PC : Checks) {
+    if (PC.Served)
+      continue;
+    for (ObligationTask &T : PC.Tasks) {
+      PC.Report.TotalSeconds += T.Result.Seconds;
+      PC.Report.Obligations.push_back(std::move(T.Result));
+    }
+    finalizeVerdict(PC.Report);
+    if (PC.Claim.leads())
+      Store->settle(PC.Claim, PC.Report);
+  }
+
+  // Reassemble reports in input order: collection order never depends on
+  // which thread finished first.
+  std::vector<CheckReport> Out;
+  Out.reserve(Checks.size());
+  for (PreparedCheck &PC : Checks) {
+    if (PC.Served) {
+      PC.Report = *PC.Claim.get();
+      PC.Report.CacheHit = true;
+      PC.Report.TotalSeconds = 0.0;
+    }
+    Out.push_back(std::move(PC.Report));
+  }
+  return Out;
+}
+
+void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
   // Pool threads do not inherit this thread's trace-ID TLS, so capture
   // the ambient request trace ID here and re-establish it inside every
   // task body (and ship it across the worker fork).
@@ -945,7 +931,7 @@ SoundnessChecker::runPrepared(std::vector<PreparedCheck> Checks) {
   auto Now = std::chrono::steady_clock::now();
   for (size_t CI = 0; CI < Checks.size(); ++CI) {
     Checks[CI].Start = Now;
-    if (Checks[CI].CacheHit) {
+    if (Checks[CI].Served) {
       // A definition served from the verdict cache still shows up in the
       // trace (as an instant-ish span) so cached and fresh runs have
       // recognizably different span sets.
@@ -1107,24 +1093,6 @@ SoundnessChecker::runPrepared(std::vector<PreparedCheck> Checks) {
           RunDeferred(I);
     }
   }
-
-  // Reassemble reports in input order: collection order never depends on
-  // which thread finished first.
-  std::vector<CheckReport> Out;
-  Out.reserve(Checks.size());
-  for (PreparedCheck &PC : Checks) {
-    if (!PC.CacheHit) {
-      for (ObligationTask &T : PC.Tasks) {
-        PC.Report.TotalSeconds += T.Result.Seconds;
-        PC.Report.Obligations.push_back(std::move(T.Result));
-      }
-      finalizeVerdict(PC.Report);
-      if (Policy.CacheVerdicts && PC.Cacheable)
-        cacheStore(PC.Key, PC.Report);
-    }
-    Out.push_back(std::move(PC.Report));
-  }
-  return Out;
 }
 
 std::vector<CheckReport> SoundnessChecker::checkSuite(

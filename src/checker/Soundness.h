@@ -46,25 +46,26 @@
 #include "core/Optimization.h"
 #include "support/Errors.h"
 #include "support/Expected.h"
-#include "support/PersistentCache.h"
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
 namespace cobalt {
 
 namespace support {
+class DiskCache;
 class ThreadPool;
-}
+} // namespace support
 
 namespace checker {
 
 struct ObligationSet; ///< checker/Obligations.h — external obligations.
+class VerdictStore;   ///< checker/VerdictStore.h — the verdict memo.
 
 /// Outcome of one obligation. Three-valued: *proven* (unsat), *failed*
 /// (a genuine counterexample model was found — the definition is
@@ -184,14 +185,14 @@ struct ProverPolicy {
 /// which is also what makes obligations independently schedulable).
 ///
 /// ## Caching
-/// Holds a verdict cache keyed by a structural fingerprint of the
-/// definition plus the label registry: re-checking an unchanged
-/// optimization is free. Only definitive verdicts (sound/unsound) are
-/// cached — an unproven verdict reflects transient resource limits and
-/// is always recomputed. With setCacheDir() the cache additionally
-/// persists across processes (write-then-rename entries; see
-/// support::PersistentCache), so repeated `cobaltc check` runs are
-/// near-instant.
+/// Verdicts live in a checker::VerdictStore keyed by a structural
+/// fingerprint of the definition and its checking context, so re-checking
+/// an unchanged definition is free. A check claims each definition in the
+/// store, proves and settles the ones it leads, and only then waits on
+/// the ones it joined (another checker sharing the store proves them).
+/// Unproven verdicts are never kept. The store is private and memory-only
+/// by default; setCacheDir() adds the disk tier, setSharedCache() shares
+/// one store among many checkers.
 ///
 /// ## Parallelism
 /// checkSuite() fans the obligations of *all* definitions into a
@@ -218,18 +219,18 @@ public:
   /// thread). Non-owning; the pool must outlive the checker's checks.
   void setThreadPool(support::ThreadPool *Pool) { this->Pool = Pool; }
 
-  /// Enables the persistent on-disk verdict cache under \p Dir (created
-  /// if absent). Returns false and stays memory-only when the directory
-  /// is unusable. Entries are invalidated structurally: any edit to a
-  /// rule, its labels, or the analyses it can see changes the
+  /// Adds the disk tier under \p Dir (created if absent) to the
+  /// checker's verdict store. Returns false and stays memory-only when
+  /// the directory is unusable. Entries are invalidated structurally: any
+  /// edit to a rule, its labels, or the analyses it can see changes the
   /// fingerprint, so stale verdicts are unreachable rather than deleted.
   bool setCacheDir(const std::string &Dir);
 
   /// Points the checker at an externally owned verdict store (typically a
-  /// CobaltService's two-tier cache) instead of a private one: every
-  /// per-request checker sharing the store observes every other request's
-  /// verdicts. Passing nullptr reverts to a private, unopened cache.
-  void setSharedCache(std::shared_ptr<support::PersistentCache> Cache);
+  /// CobaltService's) instead of a private one: every checker sharing the
+  /// store observes, and joins, every other one's verdicts. Passing
+  /// nullptr reverts to a private, memory-only store.
+  void setSharedCache(std::shared_ptr<VerdictStore> Store);
 
   /// Salt XOR'd into every obligation's fault-injection key. Defaults to
   /// 0 (keys depend only on the obligation's structural fingerprint —
@@ -238,24 +239,16 @@ public:
   /// obligations without perturbing its neighbours.
   void setFaultKeySalt(uint64_t Salt) { FaultKeySalt = Salt; }
 
-  /// Drops the in-memory verdict cache (the on-disk cache, if any, is
-  /// left intact — it is invalidated by fingerprint, not by lifetime).
-  void clearCache();
-
   CheckReport checkOptimization(const Optimization &O);
   CheckReport checkAnalysis(const PureAnalysis &A);
 
-  /// Discharges a caller-assembled obligation bundle (checker/Obligations.h)
+  /// Discharges caller-assembled obligation bundles (checker/Obligations.h)
   /// through the same machinery as rule obligations: thread-pool fan-out,
   /// retry escalation, wall budgets, crash containment, trace spans, and —
-  /// when the set is marked cacheable — the fingerprint-keyed verdict
-  /// cache. The translation validator's per-pair simulation obligations
-  /// enter the prover here.
-  CheckReport checkObligationSet(const ObligationSet &Set);
-
-  /// Batch form: all sets' obligations fan out together (one slow pair
-  /// does not serialize the pairs behind it). Reports in input order,
-  /// byte-identical to sequential checkObligationSet calls.
+  /// when a set is marked cacheable — the verdict store. The translation
+  /// validator's per-pair simulation obligations enter the prover here.
+  /// All sets' obligations fan out together (one slow pair does not
+  /// serialize the pairs behind it); reports come back in input order.
   std::vector<CheckReport>
   checkObligationSets(const std::vector<ObligationSet> &Sets);
 
@@ -268,9 +261,10 @@ public:
   checkSuite(const std::vector<PureAnalysis> &SuiteAnalyses,
              const std::vector<Optimization> &SuiteOptimizations);
 
-  /// Cache observability (in-memory + persistent combined lookups).
-  unsigned cacheHits() const { return CacheHits; }
-  const support::PersistentCache &diskCache() const { return *Disk; }
+  /// Definitions this checker was served from its verdict store.
+  unsigned cacheHits() const { return CacheHits.load(); }
+  /// The disk tier of the checker's verdict store.
+  const support::DiskCache &diskCache() const;
 
   /// Structural fingerprints of definitions — the verdict-cache key and
   /// the service's obligation-dedup key (two requests registering
@@ -282,29 +276,31 @@ private:
   struct ObligationTask; ///< One independent prover job (internal).
   struct PreparedCheck;  ///< One definition's tasks + report skeleton.
 
-  bool cacheLookup(uint64_t Key, CheckReport &Out);
-  void cacheStore(uint64_t Key, const CheckReport &R);
+  /// Claims \p PC in the verdict store when caching covers it; true when
+  /// the store serves the report, so \p PC needs no proving.
+  bool claimVerdict(PreparedCheck &PC);
 
   PreparedCheck prepareOptimization(const Optimization &O);
   PreparedCheck prepareAnalysis(const PureAnalysis &A);
   PreparedCheck prepareObligationSet(const ObligationSet &Set);
+  /// Proves the checks' tasks (discharge), settles this checker's leads,
+  /// then collects the reports it was served.
   std::vector<CheckReport> runPrepared(std::vector<PreparedCheck> Checks);
+  void discharge(std::vector<PreparedCheck> &Checks);
 
   const LabelRegistry &Registry;
   std::vector<PureAnalysis> Analyses;
   ProverPolicy Policy;
   support::ThreadPool *Pool = nullptr;
-  std::mutex CacheMutex; ///< Guards Cache + CacheHits.
-  std::map<uint64_t, CheckReport> Cache;
-  /// Never null: a private unopened cache by default, or the service's
-  /// shared store after setSharedCache().
-  std::shared_ptr<support::PersistentCache> Disk;
-  unsigned CacheHits = 0;
+  /// Never null: a private memory-only store by default, or a shared one
+  /// after setSharedCache().
+  std::shared_ptr<VerdictStore> Store;
+  std::atomic<unsigned> CacheHits{0};
   uint64_t FaultKeySalt = 0;
 };
 
-/// Serialization of cached verdicts (exposed for the cache tests; the
-/// format is versioned via PersistentCache entry names).
+/// Serialization of cached verdicts (the disk tier's value format; it is
+/// versioned via the entry names VerdictStore::open chooses).
 std::string serializeCheckReport(const CheckReport &R);
 std::optional<CheckReport> deserializeCheckReport(const std::string &Text);
 

@@ -1,10 +1,10 @@
-//===- PersistentCache.cpp ------------------------------------------------===//
+//===- DiskCache.cpp ------------------------------------------------------===//
 //
 // Part of the Cobalt reproduction (PLDI 2003). MIT license.
 //
 //===----------------------------------------------------------------------===//
 
-#include "support/PersistentCache.h"
+#include "support/DiskCache.h"
 
 #include "support/FaultInjection.h"
 #include "support/Telemetry.h"
@@ -45,7 +45,7 @@ std::string hex16(uint64_t V) {
 
 /// Entry layout: one header line `cc1 <fnv64-hex> <payload-bytes>\n`
 /// followed by the raw payload. The header is what makes entries
-/// self-validating — see PersistentCache::load.
+/// self-validating — see DiskCache::load.
 std::string encodeEntry(const std::string &Value) {
   return "cc1 " + hex16(fnv64(Value)) + " " + std::to_string(Value.size()) +
          "\n" + Value;
@@ -107,8 +107,8 @@ std::atomic<uint64_t> TempSeq{0};
 
 } // namespace
 
-bool PersistentCache::open(const std::string &Directory,
-                           const std::string &Ns, unsigned Ver) {
+bool DiskCache::open(const std::string &Directory, const std::string &Ns,
+                     unsigned Ver) {
   std::error_code EC;
   fs::create_directories(Directory, EC);
   if (EC || !fs::is_directory(Directory, EC))
@@ -116,42 +116,16 @@ bool PersistentCache::open(const std::string &Directory,
   Dir = Directory;
   Namespace = Ns;
   Version = Ver;
-  MemEnabled = false;
-  for (Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    S.Map.clear();
-  }
-  std::lock_guard<std::mutex> Lock(Mutex);
-  MemHits = MemMisses = DiskHits = DiskMisses = Stores = Corrupt = 0;
+  Hits = Misses = Stores = Corrupt = 0;
   return true;
 }
 
-bool PersistentCache::openTiered(const std::string &Directory,
-                                 const std::string &Ns, unsigned Ver) {
-  if (!open(Directory, Ns, Ver))
-    return false;
-  MemEnabled = true;
-  return true;
-}
-
-void PersistentCache::openMemory() {
-  Dir.clear();
-  MemEnabled = true;
-  for (Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.M);
-    S.Map.clear();
-  }
-  std::lock_guard<std::mutex> Lock(Mutex);
-  MemHits = MemMisses = DiskHits = DiskMisses = Stores = Corrupt = 0;
-}
-
-std::string PersistentCache::entryPath(uint64_t Key) const {
+std::string DiskCache::entryPath(uint64_t Key) const {
   return Dir + "/" + Namespace + "-" + hex16(Key) + ".v" +
          std::to_string(Version);
 }
 
-void PersistentCache::quarantine(const std::string &Path,
-                                 const char *Why) const {
+void DiskCache::quarantine(const std::string &Path) const {
   // Rename aside rather than delete: the corpse is evidence for humans
   // debugging a flaky disk, and the unique suffix keeps two processes
   // quarantining the same entry from racing. If the rename fails (e.g.
@@ -163,38 +137,12 @@ void PersistentCache::quarantine(const std::string &Path,
   fs::rename(Path, Aside, EC);
   if (EC)
     fs::remove(Path, EC);
-  (void)Why;
   metricAdd("cache.disk.corrupt");
-  std::lock_guard<std::mutex> Lock(Mutex);
   ++Corrupt;
 }
 
-std::optional<std::string> PersistentCache::load(uint64_t Key) const {
+std::optional<std::string> DiskCache::load(uint64_t Key) const {
   if (!enabled())
-    return std::nullopt;
-
-  // Hot tier: one shard lock, no I/O, no checksum work. Its counters are
-  // deliberately distinct from the disk tier's — "the daemon is warm"
-  // and "the disk carried verdicts across runs" are different stories.
-  if (MemEnabled) {
-    Shard &S = shardFor(Key);
-    std::unique_lock<std::mutex> ShardLock(S.M);
-    auto It = S.Map.find(Key);
-    if (It != S.Map.end()) {
-      std::string Value = It->second;
-      ShardLock.unlock();
-      metricAdd("cache.mem.hits");
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++MemHits;
-      return Value;
-    }
-    ShardLock.unlock();
-    metricAdd("cache.mem.misses");
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++MemMisses;
-  }
-
-  if (!diskEnabled())
     return std::nullopt;
 
   std::string Path = entryPath(Key);
@@ -203,8 +151,7 @@ std::optional<std::string> PersistentCache::load(uint64_t Key) const {
     std::ifstream In(Path, std::ios::binary);
     if (!In) {
       metricAdd("cache.disk.misses");
-      std::lock_guard<std::mutex> Lock(Mutex);
-      ++DiskMisses;
+      ++Misses;
       return std::nullopt;
     }
     std::ostringstream Out;
@@ -215,40 +162,19 @@ std::optional<std::string> PersistentCache::load(uint64_t Key) const {
   if (!Value) {
     // Never trust a failed checksum: quarantine the entry and miss, so
     // the caller re-verifies instead of consuming corruption.
-    quarantine(Path, "load");
+    quarantine(Path);
     metricAdd("cache.disk.misses");
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++DiskMisses;
+    ++Misses;
     return std::nullopt;
   }
-  // Promote to the hot tier: the next request for this key is a memory
-  // hit, whatever thread it arrives on.
-  if (MemEnabled) {
-    Shard &S = shardFor(Key);
-    std::lock_guard<std::mutex> ShardLock(S.M);
-    S.Map[Key] = *Value;
-  }
   metricAdd("cache.disk.hits");
-  std::lock_guard<std::mutex> Lock(Mutex);
-  ++DiskHits;
+  ++Hits;
   return Value;
 }
 
-void PersistentCache::store(uint64_t Key, const std::string &Value) const {
+void DiskCache::store(uint64_t Key, const std::string &Value) const {
   if (!enabled())
     return;
-
-  if (MemEnabled) {
-    Shard &S = shardFor(Key);
-    std::lock_guard<std::mutex> ShardLock(S.M);
-    S.Map[Key] = Value;
-  }
-
-  if (!diskEnabled()) {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    ++Stores;
-    return;
-  }
 
   // Write-then-rename: the entry appears atomically under its final
   // name. The temp name is unique per (pid, sequence) — concurrent
@@ -276,42 +202,5 @@ void PersistentCache::store(uint64_t Key, const std::string &Value) const {
     return;
   }
   metricAdd("cache.disk.stores");
-  std::lock_guard<std::mutex> Lock(Mutex);
   ++Stores;
-}
-
-unsigned PersistentCache::hits() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return MemHits + DiskHits;
-}
-unsigned PersistentCache::misses() const {
-  // A combined miss is a lookup no tier could serve: disk misses when a
-  // disk tier exists (every disk probe was preceded by a mem miss),
-  // otherwise the hot tier's misses.
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return diskEnabled() ? DiskMisses : MemMisses;
-}
-unsigned PersistentCache::memHits() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return MemHits;
-}
-unsigned PersistentCache::memMisses() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return MemMisses;
-}
-unsigned PersistentCache::diskHits() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return DiskHits;
-}
-unsigned PersistentCache::diskMisses() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return DiskMisses;
-}
-unsigned PersistentCache::stores() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Stores;
-}
-unsigned PersistentCache::corrupt() const {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  return Corrupt;
 }

@@ -102,7 +102,7 @@ inline constexpr const char *WorkerOom = "worker.oom";
 /// the payload, then _exit — a torn response the parent must treat as a
 /// crash, never as data.
 inline constexpr const char *WorkerPartialWrite = "worker.partial_write";
-/// PersistentCache: store() installs an entry whose payload was truncated
+/// DiskCache: store() installs an entry whose payload was truncated
 /// to half its length (with the checksum header describing the *full*
 /// value) — the self-healing load path must quarantine it as corrupt.
 inline constexpr const char *CacheTruncateWrite = "cache.truncate_write";

@@ -1,140 +1,26 @@
-//===- PersistentCache.h - Two-tier fingerprint-keyed KV store --*- C++ -*-===//
+//===- PersistentCache.h - Former name of the verdict store -----*- C++ -*-===//
 //
 // Part of the Cobalt reproduction (PLDI 2003). MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small, thread-safe, crash-tolerant, *self-healing* key→blob store
-/// backing the checker's verdict cache across process runs
-/// (`cobaltc --cache-dir`) and across concurrent requests inside one
-/// `cobaltd` process. The design follows the standard prover-cache
-/// recipe (cf. Souper's persistent solver-result cache): the key is a
-/// 64-bit structural fingerprint of the query, the value an opaque
-/// serialized blob the *caller* versions and validates.
-///
-/// ## Tiers
-///
-/// Since the service PR the store is **two-tier**:
-///
-///  * **Hot tier** — a sharded in-memory map (16 shards keyed by the low
-///    bits of the key, one mutex each, so concurrent requests rarely
-///    contend). Populated by stores and by disk hits; shared by every
-///    request going through one `CobaltService`. Counted as
-///    `cache.mem.hits` / `cache.mem.misses`, *distinct* from the disk
-///    counters — a warm daemon serves from memory and the telemetry
-///    summary must show that.
-///  * **Disk tier** — the PR-2/PR-5 on-disk entry-per-file store,
-///    consulted only on a hot-tier miss. Counted as `cache.disk.hits` /
-///    `cache.disk.misses`. Optional: openMemory() gives a hot-tier-only
-///    store for cache-dir-less services.
-///
-/// Invariants of the disk tier (DESIGN.md §12.4):
-///
-///  * One entry = one file `<ns>-<16 hex digits>.v<version>` in the cache
-///    directory. Writes go to a uniquely named temp file in the same
-///    directory (pid + per-process sequence number, so concurrent
-///    writers — threads *or* processes — never share a temp), are
-///    fsync'd, and renamed into place: readers never observe a torn
-///    entry via the normal write path.
-///  * Every entry carries a checksum header over its payload. load()
-///    verifies it; an entry that fails (truncated, bit-flipped, written
-///    by a crashed process through some non-atomic channel) is
-///    **quarantined** — renamed aside so it is never read again — and
-///    reported as a miss. The caller re-verifies; a corrupt cache can
-///    slow the pipeline down but can never feed it a wrong verdict.
-///  * The namespace + version are part of the file name: bumping the
-///    serialization version orphans old entries instead of misreading
-///    them.
-///  * Unreadable / missing / corrupt entries are misses, never errors —
-///    the cache is an accelerator, the prover remains the source of
-///    truth.
+/// The verdict store's former name, kept only because the repository
+/// benchmark (perfbench/workloads.cpp) still spells it. Removable once
+/// perfbench names checker::VerdictStore; the disk tier alone is
+/// support::DiskCache.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef COBALT_SUPPORT_PERSISTENTCACHE_H
 #define COBALT_SUPPORT_PERSISTENTCACHE_H
 
-#include <array>
-#include <cstdint>
-#include <mutex>
-#include <optional>
-#include <string>
-#include <unordered_map>
+#include "checker/VerdictStore.h"
 
 namespace cobalt {
 namespace support {
 
-class PersistentCache {
-public:
-  /// A disabled cache: every load misses, every store is dropped.
-  PersistentCache() = default;
-
-  /// Binds the cache to \p Dir (created if absent) with entries named
-  /// `<Namespace>-<key>.v<Version>`, disk tier only (the PR-2 one-shot
-  /// behavior: single-process runs already keep decoded values in the
-  /// checker's own map, so a hot tier would only mask disk faults).
-  /// Returns false (and stays disabled) when the directory cannot be
-  /// created or is not writable.
-  bool open(const std::string &Dir, const std::string &Namespace,
-            unsigned Version);
-
-  /// Two-tier mode: open() plus the in-memory hot tier. The store every
-  /// request of a CobaltService shares.
-  bool openTiered(const std::string &Dir, const std::string &Namespace,
-                  unsigned Version);
-
-  /// Enables the hot tier only — no disk behind it. For services that
-  /// run without a --cache-dir but still want cross-request sharing.
-  void openMemory();
-
-  bool enabled() const { return MemEnabled || !Dir.empty(); }
-  bool diskEnabled() const { return !Dir.empty(); }
-  const std::string &directory() const { return Dir; }
-
-  /// Hot tier first, then the checksum-verified disk tier (corrupt disk
-  /// entries are quarantined and reported as misses — see file comment).
-  /// A disk hit populates the hot tier.
-  std::optional<std::string> load(uint64_t Key) const;
-  void store(uint64_t Key, const std::string &Value) const;
-
-  /// Observability. hits()/misses() are the *combined* lookup outcome
-  /// (what callers of load() observed); the per-tier counters split them
-  /// so "warm daemon" (mem) and "warm disk from a prior run" read
-  /// differently in the telemetry summary.
-  unsigned hits() const;
-  unsigned misses() const;
-  unsigned memHits() const;
-  unsigned memMisses() const;
-  unsigned diskHits() const;
-  unsigned diskMisses() const;
-  unsigned stores() const;
-  unsigned corrupt() const;
-
-private:
-  std::string entryPath(uint64_t Key) const;
-  /// Moves a failed entry aside (never read again) and counts it.
-  void quarantine(const std::string &Path, const char *Why) const;
-
-  std::string Dir; ///< Empty = no disk tier.
-  std::string Namespace;
-  unsigned Version = 0;
-  bool MemEnabled = false; ///< Hot tier on (open()/openMemory() set it).
-
-  /// Hot tier: sharded by key so concurrent requests rarely share a
-  /// lock (mirrors the MetricsRegistry sharding).
-  static constexpr size_t NumShards = 16;
-  struct Shard {
-    mutable std::mutex M;
-    std::unordered_map<uint64_t, std::string> Map;
-  };
-  Shard &shardFor(uint64_t Key) const { return Shards[Key % NumShards]; }
-  mutable std::array<Shard, NumShards> Shards;
-
-  mutable std::mutex Mutex; ///< Guards counters; file ops are atomic.
-  mutable unsigned MemHits = 0, MemMisses = 0, DiskHits = 0,
-                   DiskMisses = 0, Stores = 0, Corrupt = 0;
-};
+using PersistentCache = checker::VerdictStore;
 
 } // namespace support
 } // namespace cobalt

@@ -65,7 +65,7 @@ AdversaryClass classify(bool Diverged, Verdict V) {
 AdversarySummary
 validate::runAdversary(const std::vector<fuzz::FuzzTarget> &Targets,
                        const AdversaryOptions &Options,
-                       checker::SoundnessChecker &Checker) {
+                       const ValidateFn &Validate) {
   support::TraceSpan Span("validate", "runAdversary");
   AdversarySummary Sum;
   Sum.Seed = Options.Seed;
@@ -96,8 +96,7 @@ validate::runAdversary(const std::vector<fuzz::FuzzTarget> &Targets,
 
       std::optional<fuzz::Divergence> D =
           fuzz::diffPrograms(Prog, A.Prog, Oracle);
-      ValidationReport R =
-          validatePrograms(Prog, A.Prog, Checker, Options.Validation);
+      ValidationReport R = Validate(Prog, A.Prog, Options.Validation);
 
       AdversaryClass C = classify(D.has_value(), R.V);
       switch (C) {
@@ -171,8 +170,8 @@ validate::runAdversary(const std::vector<fuzz::FuzzTarget> &Targets,
         // Re-validate the reduced pair: its verdict is what the replay
         // corpus asserts, and a reduction that flips the verdict to
         // Equivalent is itself a blessed miscompile.
-        ValidationReport RR = validatePrograms(P.Original, P.Candidate,
-                                               Checker, Options.Validation);
+        ValidationReport RR =
+            Validate(P.Original, P.Candidate, Options.Validation);
         P.V = RR.V;
         P.Class = classify(true, RR.V);
         if (P.Class == AdversaryClass::AC_Blessed && C != P.Class) {

@@ -33,6 +33,7 @@
 #include "validate/Validate.h"
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -103,12 +104,18 @@ struct AdversarySummary {
   std::map<std::string, AdversaryRuleStats> PerRule;
 };
 
+/// Validates one (original, candidate) pair. `cobalt-fuzz --validate`
+/// sends each pair to a CobaltService as a validation request.
+using ValidateFn = std::function<ValidationReport(
+    const ir::Program &Original, const ir::Program &Candidate,
+    const ValidationOptions &Options)>;
+
 /// Runs the adversarial loop over \p Targets (typically
-/// fuzz::buggySuiteTargets()). \p Checker discharges the validator's
-/// simulation obligations.
+/// fuzz::buggySuiteTargets()), validating every pair through
+/// \p Validate.
 AdversarySummary runAdversary(const std::vector<fuzz::FuzzTarget> &Targets,
                               const AdversaryOptions &Options,
-                              checker::SoundnessChecker &Checker);
+                              const ValidateFn &Validate);
 
 /// One validation-corpus manifest record (pairs of .il files).
 struct ValidationCorpusEntry {

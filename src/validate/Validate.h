@@ -41,7 +41,7 @@
 ///     with the proven constProp/copyProp guards (the facts hold of every
 ///     reachable state by the rules' meta-theorem, so assuming them at a
 ///     cut is sound); each cut-to-cut original path yields one Z3
-///     obligation discharged through SoundnessChecker::checkObligationSet
+///     obligation discharged through SoundnessChecker::checkObligationSets
 ///     (inheriting retries, budgets, crash containment, verdict caching,
 ///     and trace spans).
 ///

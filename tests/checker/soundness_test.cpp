@@ -216,8 +216,8 @@ TEST_F(SoundnessTest, VerdictCacheServesRepeatChecks) {
   EXPECT_EQ(Second.Obligations.size(), First.Obligations.size());
   EXPECT_EQ(Second.TotalSeconds, 0.0);
 
-  SC.clearCache();
-  CheckReport Third = SC.checkOptimization(opts::constProp());
+  SoundnessChecker Fresh(Registry, opts::allAnalyses());
+  CheckReport Third = Fresh.checkOptimization(opts::constProp());
   EXPECT_FALSE(Third.CacheHit);
 }
 

@@ -19,7 +19,7 @@
 #include "opts/Labels.h"
 #include "opts/Optimizations.h"
 #include "support/FaultInjection.h"
-#include "support/PersistentCache.h"
+#include "support/DiskCache.h"
 
 #include <gtest/gtest.h>
 

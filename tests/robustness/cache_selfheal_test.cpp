@@ -14,7 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/FaultInjection.h"
-#include "support/PersistentCache.h"
+#include "support/DiskCache.h"
 
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@
 #include <vector>
 
 using namespace cobalt;
-using support::PersistentCache;
+using support::DiskCache;
 using support::ScopedFaultPlan;
 namespace faults = cobalt::support::faults;
 namespace fs = std::filesystem;
@@ -71,7 +71,7 @@ protected:
   }
 
   fs::path Dir;
-  PersistentCache Cache;
+  DiskCache Cache;
 };
 
 } // namespace
@@ -164,7 +164,7 @@ TEST_F(CacheSelfHealTest, ConcurrentSameKeyWritersLeaveOneValidEntry) {
 TEST_F(CacheSelfHealTest, VersionBumpOrphansOldEntries) {
   // v3 readers never see (or quarantine) entries written under v2 — the
   // name carries the version, so a format migration is silent.
-  PersistentCache Old;
+  DiskCache Old;
   ASSERT_TRUE(Old.open(Dir.string(), "verdict", /*Version=*/2));
   Old.store(5, "stale-format value");
 
@@ -174,7 +174,7 @@ TEST_F(CacheSelfHealTest, VersionBumpOrphansOldEntries) {
 }
 
 TEST_F(CacheSelfHealTest, DisabledCacheIsInert) {
-  PersistentCache Off;
+  DiskCache Off;
   Off.store(1, "dropped");
   EXPECT_EQ(Off.load(1), std::nullopt);
   EXPECT_EQ(Off.corrupt(), 0u);

@@ -7,10 +7,10 @@
 /// \file
 /// The immutable service half of the API redesign (DESIGN.md §13):
 /// request resolution, per-request overrides, obligation-level dedup
-/// across concurrent callers (prove once, serve everyone), admission
-/// control's Retry contract, the Unproven memo-eviction rule, the §6
-/// assumed-analysis gate, and the two-tier verdict cache's mem-vs-disk
-/// counters.
+/// across concurrent callers (prove once, serve everyone, link the
+/// joiners' trace IDs), admission control's Retry contract, the
+/// never-keep-Unproven rule, the §6 assumed-analysis gate, and the
+/// verdict store's mem-vs-disk counters.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -222,6 +222,40 @@ TEST(ServiceApi, BudgetOverrideAndUnprovenEviction) {
   EXPECT_TRUE(R.Suite.allSound());
 }
 
+TEST(ServiceApi, LeaderProveSpanLinksJoinedRequests) {
+  CobaltConfig Config;
+  Config.Telemetry = true;
+  std::shared_ptr<CobaltService> Svc = makeService(Config);
+  ScopedFaultPlan Plan(std::string(faults::CheckerProverStallMs) + "=30");
+  support::TelemetryScope Outer(Svc->telemetry());
+
+  constexpr uint64_t LeaderId = 0xA11CE, JoinerId = 0xB0B;
+  std::thread Leader([&] {
+    CheckRequest Req;
+    Req.Only = {"const_prop"};
+    Req.TraceId = LeaderId;
+    EXPECT_TRUE(Svc->check(Req).ok());
+  });
+  // Join once the leader holds const_prop: its proving then stalls 30 ms
+  // per obligation, far longer than the join takes.
+  for (int Ms = 0; Ms < 5000 && counter(*Svc, "service.dedup.leader") == 0;
+       ++Ms)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  CheckRequest Req;
+  Req.Only = {"const_prop"};
+  Req.TraceId = JoinerId;
+  EXPECT_TRUE(Svc->check(Req).ok());
+  Leader.join();
+
+  // The leader's prove span names the request it proved for.
+  std::vector<std::vector<uint64_t>> Links;
+  for (const support::TraceEvent &E : Svc->telemetry()->Trace.snapshot())
+    if (std::string_view(E.Cat) == "service" &&
+        std::string_view(E.Name) == "prove" && E.TraceId == LeaderId)
+      Links.push_back(E.Linked);
+  EXPECT_EQ(Links, std::vector<std::vector<uint64_t>>{{JoinerId}});
+}
+
 TEST(ServiceApi, MemVsDiskCacheCounters) {
   fs::path Dir = scratchDir("two_tier");
 
@@ -240,16 +274,16 @@ TEST(ServiceApi, MemVsDiskCacheCounters) {
     EXPECT_GE(counter(*Svc, "cache.disk.stores"), 1u);
     EXPECT_EQ(counter(*Svc, "cache.mem.hits"), 0u);
 
-    // Same service, compat prover path: the hot tier answers without
+    // Same service, second check: the memory tier answers without
     // touching disk.
     uint64_t DiskHits = counter(*Svc, "cache.disk.hits");
-    Svc->prover().checkOptimization(opts::constProp());
+    Svc->check(Req);
     EXPECT_GE(counter(*Svc, "cache.mem.hits"), 1u);
     EXPECT_EQ(counter(*Svc, "cache.disk.hits"), DiskHits);
   }
 
-  // Service 2, same directory: fresh hot tier, so the disk tier answers
-  // (and promotes into memory).
+  // Service 2, same directory: fresh memory, so the disk tier answers
+  // (decoded once into memory).
   {
     std::shared_ptr<CobaltService> Svc = makeService(Config);
     support::TelemetryScope Outer(Svc->telemetry());

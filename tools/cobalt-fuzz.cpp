@@ -401,9 +401,15 @@ int runValidateMode(const Options &Opts, api::CobaltService &Svc,
   AO.Runs = Opts.Fuzz.Runs;
   AO.Minimize = Opts.Fuzz.Minimize;
 
+  // Every pair is one validation request to the campaign's service.
+  auto Validate = [&Svc](const ir::Program &Original,
+                         const ir::Program &Candidate,
+                         const validate::ValidationOptions &Options) {
+    return Svc.validate({Original, Candidate, Options}).Report;
+  };
   const auto Start = std::chrono::steady_clock::now();
   validate::AdversarySummary Sum =
-      validate::runAdversary(Targets, AO, Svc.prover());
+      validate::runAdversary(Targets, AO, Validate);
   double Elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
@@ -461,8 +467,8 @@ int main(int Argc, char **Argv) {
     Config.Prover.Retries = 1;
     Config.Prover.BudgetMs = 10000;
   }
-  // One service: its pool runs the campaign, its prover serves
-  // --validate, and its session collects the campaign's telemetry.
+  // One service: its pool runs the campaign, it validates --validate's
+  // pairs, and its session collects the campaign's telemetry.
   std::shared_ptr<api::CobaltService> Svc =
       api::CobaltService::Builder().config(Config).build();
   support::TelemetryScope Scope(Svc->telemetry());

@@ -15,7 +15,7 @@
 ///
 ///   --socket <path>        AF_UNIX socket to listen on (required)
 ///   --jobs <n>             service thread pool width (0 = hardware)
-///   --cache-dir <dir>      two-tier verdict cache (hot tier + disk)
+///   --cache-dir <dir>      disk tier behind the in-memory verdict store
 ///   --max-inflight <n>     admission bound on concurrently proving
 ///                          obligations (0 = unbounded); over-bound
 ///                          requests get "retry" responses
