@@ -88,7 +88,6 @@ SuiteRun runSuiteAt(const BenchConfig &BC, unsigned Jobs, bool Isolated,
   LabelRegistry Registry = makeRegistry();
   SoundnessChecker SC(Registry, opts::allAnalyses());
   ProverPolicy Policy;
-  Policy.CacheVerdicts = false;
   Policy.Isolation = Isolated ? WorkerIsolation::WI_Subprocess
                               : WorkerIsolation::WI_InProcess;
   SC.setPolicy(Policy);

@@ -70,12 +70,12 @@ struct SuiteRun {
 };
 
 /// Checks the full definition suite at the given width with the stalled
-/// prover. Caching is disabled so every run pays for every obligation.
+/// prover. Each run builds a fresh checker, whose verdict store starts
+/// empty, so every run pays for every obligation.
 SuiteRun runSuiteAt(unsigned Jobs) {
   LabelRegistry Registry = makeRegistry();
   SoundnessChecker SC(Registry, opts::allAnalyses());
   ProverPolicy Policy;
-  Policy.CacheVerdicts = false;
   SC.setPolicy(Policy);
   support::ThreadPool Pool(Jobs);
   SC.setThreadPool(&Pool);

@@ -44,30 +44,6 @@ std::string api::jsonEscape(const std::string &S) {
   return Out;
 }
 
-const char *api::verdictName(const checker::CheckReport &R) {
-  switch (R.V) {
-  case checker::CheckReport::Verdict::V_Sound:
-    return "sound";
-  case checker::CheckReport::Verdict::V_Unsound:
-    return "unsound";
-  case checker::CheckReport::Verdict::V_Unproven:
-    return "unproven";
-  }
-  return "unproven";
-}
-
-const char *api::obligationStatusName(const checker::ObligationResult &Ob) {
-  switch (Ob.St) {
-  case checker::ObligationResult::Status::OS_Proven:
-    return "proven";
-  case checker::ObligationResult::Status::OS_Failed:
-    return "failed";
-  case checker::ObligationResult::Status::OS_Unknown:
-    return "unknown";
-  }
-  return "unknown";
-}
-
 void api::emitDefinitionsJson(
     std::string &Out, const std::vector<checker::CheckReport> &Reports) {
   Out += "  \"definitions\": [";
@@ -75,7 +51,8 @@ void api::emitDefinitionsJson(
     const checker::CheckReport &R = Reports[I];
     Out += I ? ",\n    {" : "\n    {";
     Out += "\"name\": \"" + jsonEscape(R.Name) + "\"";
-    Out += ", \"verdict\": \"" + std::string(verdictName(R)) + "\"";
+    Out += ", \"verdict\": \"" +
+           std::string(checker::CheckReport::verdictName(R.V)) + "\"";
     Out += ", \"cached\": ";
     Out += R.CacheHit ? "true" : "false";
     Out += ", \"degradation\": \"" +
@@ -92,7 +69,8 @@ void api::emitDefinitionsJson(
       if (J)
         Out += ", ";
       Out += "{\"name\": \"" + jsonEscape(Ob.Name) + "\"";
-      Out += ", \"status\": \"" + std::string(obligationStatusName(Ob)) +
+      Out += ", \"status\": \"" +
+             std::string(checker::ObligationResult::statusName(Ob.St)) +
              "\"";
       Out += ", \"error\": \"" + std::string(Ob.Err.kindName()) + "\"";
       if (!Ob.Err.Message.empty())

@@ -32,12 +32,6 @@ namespace api {
 /// Escapes \p S for embedding inside a JSON string literal.
 std::string jsonEscape(const std::string &S);
 
-/// "sound" / "unsound" / "unproven".
-const char *verdictName(const checker::CheckReport &R);
-
-/// "proven" / "failed" / "unknown".
-const char *obligationStatusName(const checker::ObligationResult &Ob);
-
 /// Appends `"definitions": [...]` (two-space indented, no trailing
 /// comma) for a suite of check reports.
 void emitDefinitionsJson(std::string &Out,

@@ -6,12 +6,12 @@
 
 #include "api/Service.h"
 
+#include "checker/Obligations.h"
 #include "checker/VerdictStore.h"
 #include "ir/Parser.h"
 #include "opts/StdlibCobalt.h"
 #include "support/ThreadPool.h"
 
-#include <cassert>
 #include <fstream>
 #include <sstream>
 
@@ -248,14 +248,11 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
   support::metricAdd("service.requests.check");
   support::TraceSpan Span("service", "check");
 
-  // The request's checker fingerprints the targets and proves whatever
-  // this request leads. The service claims and settles those verdicts
-  // itself, so the checker's own claiming is off.
+  // The request's checker fingerprints the targets, lowers the ones this
+  // request leads and proves them. The service claims and settles those
+  // verdicts itself, so the lowered sets are not Cacheable.
   checker::SoundnessChecker Checker(RegistryPM.registry(), Analyses);
   configureChecker(Checker, Req.Jobs, Req.BudgetMs, Req.FaultKeySalt);
-  checker::ProverPolicy LeaderPolicy = Checker.policy();
-  LeaderPolicy.CacheVerdicts = false;
-  Checker.setPolicy(LeaderPolicy);
 
   CheckResponse Resp;
   std::vector<Target> Targets;
@@ -267,22 +264,28 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
 
   // Claim every target — leaders prove, the rest are served by the store
   // — and take the admission decision atomically, so two racing requests
-  // cannot both believe they fit under the bound.
+  // cannot both believe they fit under the bound. Each lead is lowered
+  // here, with the fingerprint resolveTargets computed, so admission
+  // counts the obligations it will really prove.
   std::vector<checker::VerdictStore::Claim> Claims;
-  std::vector<size_t> Leaders; ///< Indices into Targets.
-  uint64_t Estimate = 0;       ///< Obligations the leads will prove.
+  std::vector<size_t> Leaders;               ///< Indices into Targets.
+  std::vector<checker::ObligationSet> Leads; ///< Parallel to Leaders.
+  uint64_t Estimate = 0;                     ///< Obligations in Leads.
   {
     std::lock_guard<std::mutex> Lock(ServiceMutex);
     Claims.reserve(Targets.size());
     for (size_t I = 0; I < Targets.size(); ++I) {
-      Claims.push_back(Store->claim(Targets[I].Fingerprint, TraceId));
+      const Target &T = Targets[I];
+      Claims.push_back(Store->claim(T.Fingerprint, TraceId));
       if (!Claims.back().leads())
         continue;
       Leaders.push_back(I);
-      auto Known = KnownObligations.find(Targets[I].Fingerprint);
-      // 16 ≈ the obligation count of a mid-sized optimization; only the
-      // first proving of a fingerprint ever uses the default.
-      Estimate += Known != KnownObligations.end() ? Known->second : 16;
+      Leads.push_back(
+          T.IsAnalysis
+              ? Checker.lower(Analyses[T.Index], T.Fingerprint)
+              : Checker.lower(Optimizations[T.Index], T.Fingerprint));
+      Leads.back().Cacheable = false;
+      Estimate += Leads.back().Obligations.size();
     }
     bool Idle = InFlightObligations == 0;
     if (!Leaders.empty() && Config.MaxInFlightObligations != 0 && !Idle &&
@@ -322,20 +325,9 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
     support::flightNote("dedup.await", std::to_string(Served) +
                                            " definition(s) served from memo");
 
-  // Prove the leader set. checkSuite fans every leader definition's
-  // obligations out at once, so one request overlaps all of its
-  // obligations.
+  // Prove the leads. checkObligationSets fans every lead's obligations
+  // out at once, so one request overlaps all of its obligations.
   if (!Leaders.empty()) {
-    std::vector<PureAnalysis> LeadAs;
-    std::vector<Optimization> LeadOs;
-    for (size_t I : Leaders) {
-      const Target &T = Targets[I];
-      if (T.IsAnalysis)
-        LeadAs.push_back(Analyses[T.Index]);
-      else
-        LeadOs.push_back(Optimizations[T.Index]);
-    }
-
     // The leader's prove span. Once proving finishes, it is tagged with
     // the trace IDs of every request that joined one of this leader's
     // claims mid-flight — the cross-request join made visible.
@@ -351,10 +343,10 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
       if (Config.Prover.Isolation ==
           checker::WorkerIsolation::WI_Subprocess) {
         std::unique_lock<std::shared_mutex> Iso(IsolationMutex);
-        Reports = Checker.checkSuite(LeadAs, LeadOs);
+        Reports = Checker.checkObligationSets(Leads);
       } else {
         std::shared_lock<std::shared_mutex> Iso(IsolationMutex);
-        Reports = Checker.checkSuite(LeadAs, LeadOs);
+        Reports = Checker.checkObligationSets(Leads);
       }
     } catch (...) {
       // Waiters receive the exception and the keys are forgotten, so
@@ -369,16 +361,9 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
       throw;
     }
 
-    // checkSuite returns analyses first, then optimizations — the same
-    // order we built LeadAs/LeadOs in, which is Leaders order (Targets
-    // lists analyses before optimizations).
-    assert(Reports.size() == Leaders.size());
     {
       std::lock_guard<std::mutex> Lock(ServiceMutex);
       InFlightObligations -= Estimate;
-      for (size_t R = 0; R < Leaders.size(); ++R)
-        KnownObligations[Targets[Leaders[R]].Fingerprint] =
-            static_cast<unsigned>(Reports[R].Obligations.size());
     }
     std::vector<uint64_t> FollowerIds;
     for (size_t R = 0; R < Leaders.size(); ++R) {

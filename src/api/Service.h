@@ -83,7 +83,6 @@
 #include <set>
 #include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace cobalt {
@@ -359,13 +358,11 @@ private:
   /// Dedup memo for validate() requests, keyed by fingerprintPair.
   support::SingleFlight<validate::ValidationReport> Validations;
 
-  /// Guards check()'s claims in the verdict store, the admission ledger,
-  /// and the obligation count estimates — one lock because admission
-  /// decisions must see a consistent leader set.
+  /// Guards check()'s claims in the verdict store and the admission
+  /// ledger — one lock because admission decisions must see a consistent
+  /// leader set.
   mutable std::mutex ServiceMutex;
   uint64_t InFlightObligations = 0;
-  /// Actual obligation counts from past provings (admission estimates).
-  std::unordered_map<uint64_t, unsigned> KnownObligations;
 
   /// Fork-safety (DESIGN.md §12): a subprocess-isolation leader forks
   /// prover workers, which must not happen while another thread is

@@ -5,18 +5,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The obligation layer shared by the rule checker (Soundness.cpp) and the
-/// translation validator (src/validate): a fresh-Z3-context builder for one
-/// proof obligation, and a caller-assembled set of named obligations that
-/// SoundnessChecker::checkObligationSets discharges through the same
-/// retry/budget/containment/caching machinery as the paper's F/B
-/// obligations.
-///
-/// ObligationBuilder used to be private to Soundness.cpp; it moved here so
-/// subsystems other than the rule checker can lower their own goals (the
-/// validator's per-pair simulation obligations) without duplicating the
-/// escalation schedule, the two-pass proof/counterexample solver setup, or
-/// the fault-injection points.
+/// The checker's unit of work and how one obligation is built. An
+/// ObligationSet is the named obligations that together prove one
+/// property; SoundnessChecker::lower builds the set of an optimization or
+/// a pure analysis (the paper's F/B obligations), the translation
+/// validator (src/validate) builds one per procedure pair, and
+/// SoundnessChecker::checkObligationSets discharges every set through the
+/// one retry/budget/containment/caching path. Each obligation is built in
+/// a fresh Z3 context by an ObligationBuilder, which owns the escalation
+/// schedule, the two-pass proof/counterexample solver setup, and the
+/// fault-injection points.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +28,7 @@
 
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -51,8 +50,7 @@ struct ObligationBuilder {
   std::vector<ZState> WfStates;
 
   ObligationBuilder(const LabelRegistry &Registry,
-                    const std::map<std::string, const PureAnalysis *>
-                        &AnalysesByLabel)
+                    const AnalysisTable &AnalysesByLabel)
       : Enc(C), PE(Enc, Registry, AnalysesByLabel) {}
 
   void hyp(const z3::expr &E) { Hyps.push_back(E); }
@@ -273,22 +271,28 @@ struct ObligationSpec {
   std::function<z3::expr(ObligationBuilder &)> Build;
 };
 
-/// A caller-assembled bundle of obligations that proves one externally
-/// defined property (for the validator: "this procedure pair simulates").
-/// Discharged by SoundnessChecker::checkObligationSets with the same
-/// scheduling, budgets, containment, and (optionally) verdict caching as
-/// rule obligations.
+/// The obligations that together prove one property: a rule or analysis
+/// is sound (SoundnessChecker::lower), or a procedure pair simulates (the
+/// validator). The report of its check is a CheckReport named Name with
+/// one result per obligation, in order.
 struct ObligationSet {
   /// Report name (CheckReport::Name of the result).
   std::string Name;
   /// Structural fingerprint of whatever the obligations encode. Keys the
-  /// verdict cache (when Cacheable) and the fault-injection decisions, so
-  /// it must be stable across runs and distinct across distinct inputs.
+  /// verdict cache (when Cacheable) and, with each obligation's name, the
+  /// fault-injection decisions, so it must be stable across runs and
+  /// distinct across distinct inputs.
   uint64_t Fingerprint = 0;
-  /// Whether a definitive verdict may be served from / stored into the
-  /// verdict cache. Only set this when Fingerprint covers *everything*
-  /// the obligations depend on.
+  /// Whether the check claims the verdict in the verdict store: serves it
+  /// from there, or proves and stores a definitive one. Only set this
+  /// when Fingerprint covers *everything* the obligations depend on, and
+  /// when no caller has claimed the fingerprint already.
   bool Cacheable = false;
+  /// Analyses the verdict is conditional on (CheckReport::AssumedAnalyses).
+  std::vector<std::string> AssumedAnalyses;
+  /// The analysis labels whose witnesses the obligations may assume; null
+  /// means every analysis the discharging checker was built with.
+  std::shared_ptr<const AnalysisTable> Labels;
   std::vector<ObligationSpec> Obligations;
 };
 

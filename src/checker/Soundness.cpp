@@ -13,22 +13,62 @@
 #include "checker/VerdictStore.h"
 #include "ir/Printer.h"
 #include "support/FaultInjection.h"
+#include "support/Fnv1a.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <mutex>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <sstream>
-#include <thread>
 
 using namespace cobalt;
 using namespace cobalt::checker;
 using namespace cobalt::ir;
 using support::ErrorKind;
+
+//===----------------------------------------------------------------------===//
+// Verdict and status names.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The one spelling of each verdict and obligation status, indexed by
+/// enumerator.
+constexpr const char *VerdictNames[] = {"sound", "unsound", "unproven"};
+constexpr const char *StatusNames[] = {"proven", "failed", "unknown"};
+
+template <typename Enum, size_t N>
+std::optional<Enum> parseName(const char *const (&Names)[N],
+                              std::string_view Name) {
+  for (size_t I = 0; I < N; ++I)
+    if (Name == Names[I])
+      return static_cast<Enum>(I);
+  return std::nullopt;
+}
+
+} // namespace
+
+const char *CheckReport::verdictName(Verdict V) {
+  return VerdictNames[static_cast<size_t>(V)];
+}
+
+std::optional<CheckReport::Verdict>
+CheckReport::parseVerdict(std::string_view Name) {
+  return parseName<Verdict>(VerdictNames, Name);
+}
+
+const char *ObligationResult::statusName(Status S) {
+  return StatusNames[static_cast<size_t>(S)];
+}
+
+std::optional<ObligationResult::Status>
+ObligationResult::parseStatus(std::string_view Name) {
+  return parseName<Status>(StatusNames, Name);
+}
 
 std::string CheckReport::str() const {
   std::ostringstream Out;
@@ -131,19 +171,14 @@ void finalizeVerdict(CheckReport &Report) {
 // Fingerprinting (verdict cache keys).
 //===----------------------------------------------------------------------===//
 
-/// FNV-1a over the bytes of \p S plus a separator, folded into \p H.
-/// Definitions are fingerprinted through their printed forms — the
+/// Folds the bytes of \p S into \p H, then a 0x1f byte that ends the
+/// field. Definitions are fingerprinted through their printed forms — the
 /// printers are total over the formula/witness/IR languages, so two
 /// definitions collide only if they are structurally identical (or on a
 /// genuine 64-bit hash collision, which at a dozen optimizations is
 /// negligible).
-void hashStr(uint64_t &H, const std::string &S) {
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  H ^= 0x1f;
-  H *= 0x100000001b3ull;
+void hashStr(uint64_t &H, std::string_view S) {
+  H = support::fnv1a(0x1f, support::fnv1a(S, H));
 }
 
 void hashLabelDefs(uint64_t &H, const std::vector<LabelDef> &Defs) {
@@ -192,7 +227,7 @@ z3::expr makeStmtOfKind(Encoder &Enc, const std::string &Tag) {
 }
 
 //===----------------------------------------------------------------------===//
-// Cached-verdict serialization helpers.
+// Serialization helpers.
 //===----------------------------------------------------------------------===//
 
 std::string escapeLine(const std::string &S) {
@@ -225,52 +260,17 @@ std::string unescapeLine(const std::string &S) {
   return Out;
 }
 
-} // namespace
-
-//===----------------------------------------------------------------------===//
-// Cached-verdict serialization (the persistent cache's value format).
-//===----------------------------------------------------------------------===//
-
-std::string checker::serializeCheckReport(const CheckReport &R) {
-  std::ostringstream Out;
-  Out << "report 2\n";
-  Out << "name " << escapeLine(R.Name) << "\n";
-  Out << "verdict "
-      << (R.V == CheckReport::Verdict::V_Sound     ? "sound"
-          : R.V == CheckReport::Verdict::V_Unsound ? "unsound"
-                                                   : "unproven")
-      << "\n";
-  Out << "degradation " << support::errorKindName(R.Degradation) << "\n";
-  for (const std::string &A : R.AssumedAnalyses)
-    Out << "assumed " << escapeLine(A) << "\n";
-  for (const ObligationResult &Ob : R.Obligations) {
-    Out << "obligation " << escapeLine(Ob.Name) << "\n";
-    Out << " status "
-        << (Ob.St == ObligationResult::Status::OS_Proven   ? "proven"
-            : Ob.St == ObligationResult::Status::OS_Failed ? "failed"
-                                                           : "unknown")
-        << "\n";
-    Out << " errkind " << support::errorKindName(Ob.Err.Kind) << "\n";
-    if (!Ob.Err.Message.empty())
-      Out << " errmsg " << escapeLine(Ob.Err.Message) << "\n";
-    Out << " attempts " << Ob.Attempts << "\n";
-    Out << " rlimit " << Ob.RlimitSpent << "\n";
-    if (!Ob.Counterexample.empty())
-      Out << " cex " << escapeLine(Ob.Counterexample) << "\n";
-  }
-  return Out.str();
-}
-
-std::optional<CheckReport>
-checker::deserializeCheckReport(const std::string &Text) {
+/// Checks that \p Text starts with the line \p Header, then hands every
+/// further nonempty `<key> <value>` line to \p Field — tolerating the
+/// one-space indent of an obligation block's fields. False when the
+/// header is wrong or \p Field rejects a line.
+bool readFields(const std::string &Text, std::string_view Header,
+                const std::function<bool(const std::string &Key,
+                                         const std::string &Val)> &Field) {
   std::istringstream In(Text);
   std::string Line;
-  if (!std::getline(In, Line) || Line != "report 2")
-    return std::nullopt;
-
-  CheckReport R;
-  ObligationResult *Cur = nullptr;
-  bool SawName = false, SawVerdict = false;
+  if (!std::getline(In, Line) || Line != Header)
+    return false;
   while (std::getline(In, Line)) {
     if (Line.empty())
       continue;
@@ -279,56 +279,115 @@ checker::deserializeCheckReport(const std::string &Text) {
     size_t Sp = Line.find(' ');
     std::string Key = Line.substr(0, Sp);
     std::string Val = Sp == std::string::npos ? "" : Line.substr(Sp + 1);
+    if (!Field(Key, Val))
+      return false;
+  }
+  return true;
+}
 
+/// Writes \p R as an obligation block — the one codec of disk entries and
+/// worker frames: an `obligation <name>` line, then one indented field per
+/// line. \p Timed adds the wall time, which worker frames carry back to
+/// the parent and disk entries leave out (equal verdicts, equal bytes).
+void writeObligation(std::ostream &Out, const ObligationResult &R,
+                     bool Timed) {
+  Out << "obligation " << escapeLine(R.Name) << "\n";
+  Out << " status " << ObligationResult::statusName(R.St) << "\n";
+  Out << " errkind " << support::errorKindName(R.Err.Kind) << "\n";
+  if (!R.Err.Message.empty())
+    Out << " errmsg " << escapeLine(R.Err.Message) << "\n";
+  if (Timed)
+    Out << " seconds " << R.Seconds << "\n";
+  Out << " attempts " << R.Attempts << "\n";
+  Out << " rlimit " << R.RlimitSpent << "\n";
+  if (!R.Counterexample.empty())
+    Out << " cex " << escapeLine(R.Counterexample) << "\n";
+}
+
+/// Reads one line of obligation blocks into \p Obs: `obligation` opens a
+/// result, every other key fills the last one. False on an unknown key
+/// (`seconds` is known only when \p Timed), a bad status, or a field
+/// outside any obligation.
+bool readObligationField(const std::string &Key, const std::string &Val,
+                         std::vector<ObligationResult> &Obs, bool Timed) {
+  if (Key == "obligation") {
+    Obs.emplace_back();
+    Obs.back().Name = unescapeLine(Val);
+    return true;
+  }
+  if (Obs.empty())
+    return false;
+  ObligationResult &R = Obs.back();
+  if (Key == "status") {
+    std::optional<ObligationResult::Status> St =
+        ObligationResult::parseStatus(Val);
+    if (!St)
+      return false;
+    R.St = *St;
+  } else if (Key == "errkind") {
+    R.Err.Kind = support::errorKindFromName(Val);
+  } else if (Key == "errmsg") {
+    R.Err.Message = unescapeLine(Val);
+  } else if (Key == "seconds" && Timed) {
+    R.Seconds = std::strtod(Val.c_str(), nullptr);
+  } else if (Key == "attempts") {
+    R.Attempts =
+        static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
+  } else if (Key == "rlimit") {
+    R.RlimitSpent = std::strtoull(Val.c_str(), nullptr, 10);
+  } else if (Key == "cex") {
+    R.Counterexample = unescapeLine(Val);
+  } else {
+    return false;
+  }
+  return true;
+}
+
+} // namespace
+
+//===----------------------------------------------------------------------===//
+// Cached-verdict serialization (the disk tier's value format).
+//===----------------------------------------------------------------------===//
+
+std::string checker::serializeCheckReport(const CheckReport &R) {
+  std::ostringstream Out;
+  Out << "report 2\n";
+  Out << "name " << escapeLine(R.Name) << "\n";
+  Out << "verdict " << CheckReport::verdictName(R.V) << "\n";
+  Out << "degradation " << support::errorKindName(R.Degradation) << "\n";
+  for (const std::string &A : R.AssumedAnalyses)
+    Out << "assumed " << escapeLine(A) << "\n";
+  for (const ObligationResult &Ob : R.Obligations)
+    writeObligation(Out, Ob, /*Timed=*/false);
+  return Out.str();
+}
+
+std::optional<CheckReport>
+checker::deserializeCheckReport(const std::string &Text) {
+  CheckReport R;
+  bool SawName = false, SawVerdict = false;
+  bool Ok = readFields(Text, "report 2", [&](const std::string &Key,
+                                             const std::string &Val) {
     if (Key == "name") {
       R.Name = unescapeLine(Val);
       SawName = true;
     } else if (Key == "verdict") {
-      if (Val == "sound")
-        R.V = CheckReport::Verdict::V_Sound;
-      else if (Val == "unsound")
-        R.V = CheckReport::Verdict::V_Unsound;
-      else if (Val == "unproven")
-        R.V = CheckReport::Verdict::V_Unproven;
-      else
-        return std::nullopt;
+      std::optional<CheckReport::Verdict> V = CheckReport::parseVerdict(Val);
+      if (!V)
+        return false;
+      R.V = *V;
       SawVerdict = true;
     } else if (Key == "degradation") {
       R.Degradation = support::errorKindFromName(Val);
     } else if (Key == "assumed") {
       R.AssumedAnalyses.push_back(unescapeLine(Val));
-    } else if (Key == "obligation") {
-      R.Obligations.emplace_back();
-      Cur = &R.Obligations.back();
-      Cur->Name = unescapeLine(Val);
-      Cur->St = ObligationResult::Status::OS_Unknown;
-    } else if (!Cur) {
-      return std::nullopt; // sub-field outside any obligation
-    } else if (Key == "status") {
-      if (Val == "proven")
-        Cur->St = ObligationResult::Status::OS_Proven;
-      else if (Val == "failed")
-        Cur->St = ObligationResult::Status::OS_Failed;
-      else if (Val == "unknown")
-        Cur->St = ObligationResult::Status::OS_Unknown;
-      else
-        return std::nullopt;
-    } else if (Key == "errkind") {
-      Cur->Err.Kind = support::errorKindFromName(Val);
-    } else if (Key == "errmsg") {
-      Cur->Err.Message = unescapeLine(Val);
-    } else if (Key == "attempts") {
-      Cur->Attempts =
-          static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
-    } else if (Key == "rlimit") {
-      Cur->RlimitSpent = std::strtoull(Val.c_str(), nullptr, 10);
-    } else if (Key == "cex") {
-      Cur->Counterexample = unescapeLine(Val);
     } else {
-      return std::nullopt; // unknown field: treat the entry as a miss
+      // An obligation block; an unknown field makes the entry a miss.
+      return readObligationField(Key, Val, R.Obligations, /*Timed=*/false);
     }
-  }
-  if (!SawName || !SawVerdict)
+    return true;
+  });
+  if (!Ok || !SawName || !SawVerdict)
     return std::nullopt;
   R.Sound = R.V == CheckReport::Verdict::V_Sound;
   return R;
@@ -340,117 +399,43 @@ checker::deserializeCheckReport(const std::string &Text) {
 
 std::string checker::serializeObligationResult(const ObligationResult &R) {
   std::ostringstream Out;
-  Out << "obresult 1\n";
-  Out << "name " << escapeLine(R.Name) << "\n";
-  Out << "status "
-      << (R.St == ObligationResult::Status::OS_Proven   ? "proven"
-          : R.St == ObligationResult::Status::OS_Failed ? "failed"
-                                                        : "unknown")
-      << "\n";
-  Out << "errkind " << support::errorKindName(R.Err.Kind) << "\n";
-  if (!R.Err.Message.empty())
-    Out << "errmsg " << escapeLine(R.Err.Message) << "\n";
-  Out << "seconds " << R.Seconds << "\n";
-  Out << "attempts " << R.Attempts << "\n";
-  Out << "rlimit " << R.RlimitSpent << "\n";
-  if (!R.Counterexample.empty())
-    Out << "cex " << escapeLine(R.Counterexample) << "\n";
+  Out << "obresult 2\n";
+  writeObligation(Out, R, /*Timed=*/true);
   return Out.str();
 }
 
 std::optional<ObligationResult>
 checker::deserializeObligationResult(const std::string &Text) {
-  std::istringstream In(Text);
-  std::string Line;
-  if (!std::getline(In, Line) || Line != "obresult 1")
-    return std::nullopt;
-
-  ObligationResult R;
-  R.St = ObligationResult::Status::OS_Unknown;
-  bool SawName = false, SawStatus = false;
-  while (std::getline(In, Line)) {
-    if (Line.empty())
-      continue;
-    size_t Sp = Line.find(' ');
-    std::string Key = Line.substr(0, Sp);
-    std::string Val = Sp == std::string::npos ? "" : Line.substr(Sp + 1);
-    if (Key == "name") {
-      R.Name = unescapeLine(Val);
-      SawName = true;
-    } else if (Key == "status") {
-      if (Val == "proven")
-        R.St = ObligationResult::Status::OS_Proven;
-      else if (Val == "failed")
-        R.St = ObligationResult::Status::OS_Failed;
-      else if (Val == "unknown")
-        R.St = ObligationResult::Status::OS_Unknown;
-      else
-        return std::nullopt;
-      SawStatus = true;
-    } else if (Key == "errkind") {
-      R.Err.Kind = support::errorKindFromName(Val);
-    } else if (Key == "errmsg") {
-      R.Err.Message = unescapeLine(Val);
-    } else if (Key == "seconds") {
-      R.Seconds = std::strtod(Val.c_str(), nullptr);
-    } else if (Key == "attempts") {
-      R.Attempts =
-          static_cast<unsigned>(std::strtoul(Val.c_str(), nullptr, 10));
-    } else if (Key == "rlimit") {
-      R.RlimitSpent = std::strtoull(Val.c_str(), nullptr, 10);
-    } else if (Key == "cex") {
-      R.Counterexample = unescapeLine(Val);
-    } else {
-      return std::nullopt; // unknown field: the frame is not trusted
-    }
-  }
-  if (!SawName || !SawStatus)
-    return std::nullopt;
-  return R;
+  std::vector<ObligationResult> Obs;
+  bool SawStatus = false;
+  bool Ok = readFields(Text, "obresult 2", [&](const std::string &Key,
+                                               const std::string &Val) {
+    SawStatus |= Key == "status";
+    return readObligationField(Key, Val, Obs, /*Timed=*/true);
+  });
+  // A worker's answer must state its status; a disk entry's may not.
+  if (!Ok || Obs.size() != 1 || !SawStatus)
+    return std::nullopt; // the frame is not trusted
+  return std::move(Obs.front());
 }
 
 //===----------------------------------------------------------------------===//
-// SoundnessChecker: prepared checks and their execution.
+// Fingerprints and the verdict store.
 //===----------------------------------------------------------------------===//
-
-/// One independent prover job: a named obligation whose Z3 query is built
-/// lazily (on whichever thread executes it) from a fresh ObligationBuilder.
-struct SoundnessChecker::ObligationTask {
-  std::string Name;
-  /// Stable job fingerprint (definition key ⊕ obligation name) used to
-  /// key fault-injection decisions; see ScopedFaultKey.
-  uint64_t FaultKey = 0;
-  std::function<z3::expr(ObligationBuilder &)> Build;
-  ObligationResult Result;
-};
-
-/// One definition's obligations plus its report skeleton. The closures in
-/// Tasks capture pointers into the caller's definition (which outlives
-/// the check call) and read the shared analysis table through ByLabel.
-struct SoundnessChecker::PreparedCheck {
-  uint64_t Key = 0;
-  /// Rule/analysis fingerprints cover everything their obligations read,
-  /// so those verdicts always cache; caller-assembled ObligationSets opt
-  /// in only when their fingerprint makes the same promise.
-  bool Cacheable = true;
-  /// The check's stake in the verdict store: empty when caching does not
-  /// cover it, leading while this checker owes the store its verdict.
-  VerdictStore::Claim Claim;
-  bool Served = false; ///< The store answers the claim: nothing to prove.
-  CheckReport Report;
-  std::shared_ptr<std::map<std::string, const PureAnalysis *>> ByLabel;
-  std::vector<ObligationTask> Tasks;
-  std::chrono::steady_clock::time_point Start;
-};
 
 SoundnessChecker::SoundnessChecker(const LabelRegistry &Registry,
                                    std::vector<PureAnalysis> Analyses)
     : Registry(Registry), Analyses(std::move(Analyses)),
-      Store(std::make_shared<VerdictStore>()) {}
+      Store(std::make_shared<VerdictStore>()) {
+  auto All = std::make_shared<AnalysisTable>();
+  for (const PureAnalysis &A : this->Analyses)
+    (*All)[A.LabelName] = &A;
+  AllLabels = std::move(All);
+}
 
 uint64_t
 SoundnessChecker::fingerprintOptimization(const Optimization &O) const {
-  uint64_t H = 0xcbf29ce484222325ull;
+  uint64_t H = support::Fnv1aBasis;
   hashStr(H, "optimization");
   hashStr(H, O.Name);
   hashStr(H, O.Pat.Dir == Direction::D_Forward ? "fwd" : "bwd");
@@ -467,7 +452,7 @@ SoundnessChecker::fingerprintOptimization(const Optimization &O) const {
 }
 
 uint64_t SoundnessChecker::fingerprintAnalysis(const PureAnalysis &A) const {
-  uint64_t H = 0xcbf29ce484222325ull;
+  uint64_t H = support::Fnv1aBasis;
   hashStr(H, "analysis");
   hashAnalysisDef(H, A);
   hashLabelDefs(H, Registry.predicates());
@@ -488,123 +473,114 @@ const support::DiskCache &SoundnessChecker::diskCache() const {
   return Store->disk();
 }
 
-bool SoundnessChecker::claimVerdict(PreparedCheck &PC) {
-  if (Policy.CacheVerdicts && PC.Cacheable) {
-    PC.Claim = Store->claim(PC.Key);
-    PC.Served = !PC.Claim.leads();
-  }
-  CacheHits += PC.Served;
-  return PC.Served;
+//===----------------------------------------------------------------------===//
+// Lowering: optimizations and analyses to obligation sets.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using SplitBuild =
+    std::function<z3::expr(ObligationBuilder &, const z3::expr &)>;
+
+void addObligation(ObligationSet &Set, std::string Name,
+                   std::function<z3::expr(ObligationBuilder &)> Build) {
+  Set.Obligations.push_back({std::move(Name), std::move(Build)});
 }
 
-//===----------------------------------------------------------------------===//
-// Optimization obligations.
-//===----------------------------------------------------------------------===//
-
-SoundnessChecker::PreparedCheck
-SoundnessChecker::prepareOptimization(const Optimization &O) {
-  PreparedCheck PC;
-  PC.Key = fingerprintOptimization(O);
-  PC.Report.Name = O.Name;
-  if (claimVerdict(PC))
-    return PC;
-
-  PC.ByLabel =
-      std::make_shared<std::map<std::string, const PureAnalysis *>>();
-  for (const PureAnalysis &A : Analyses)
-    (*PC.ByLabel)[A.LabelName] = &A;
-
-  // Record the analysis labels the guard mentions: the soundness
-  // guarantee is conditional on those analyses (checked separately).
-  {
-    auto Scan = [&](const FormulaPtr &F, auto &&ScanRef) -> void {
-      if (!F)
-        return;
-      if (F->K == Formula::Kind::FK_Label &&
-          Registry.isAnalysisLabel(F->LabelName)) {
-        auto It = PC.ByLabel->find(F->LabelName);
-        std::string Dep = It != PC.ByLabel->end()
-                              ? It->second->Name
-                              : F->LabelName + " (unknown)";
-        if (std::find(PC.Report.AssumedAnalyses.begin(),
-                      PC.Report.AssumedAnalyses.end(),
-                      Dep) == PC.Report.AssumedAnalyses.end())
-          PC.Report.AssumedAnalyses.push_back(Dep);
-      }
-      for (const FormulaPtr &Kid : F->Kids)
-        ScanRef(Kid, ScanRef);
-      for (const CaseArm &Arm : F->Arms)
-        ScanRef(Arm.Body, ScanRef);
-      if (F->ElseBody)
-        ScanRef(F->ElseBody, ScanRef);
-      // Recurse through predicate-label bodies for indirect uses.
-      if (F->K == Formula::Kind::FK_Label)
-        if (const LabelDef *Def = Registry.findPredicate(F->LabelName))
-          ScanRef(Def->Body, ScanRef);
-    };
-    Scan(O.Pat.G.Psi1, Scan);
-    Scan(O.Pat.G.Psi2, Scan);
-  }
-
-  // The task closures capture this pointer: the definition lives in the
-  // caller and must outlive runPrepared (checkOptimization/checkSuite
-  // take it by reference for exactly this duration).
-  const TransformationPattern *Pat = &O.Pat;
-  bool Forward = Pat->Dir == Direction::D_Forward;
-  bool Insertion = Pat->From.is<SkipStmt>() && !Pat->To.is<SkipStmt>();
-
-  auto AddTask = [&](const std::string &Name,
-                     std::function<z3::expr(ObligationBuilder &)> Build) {
-    ObligationTask T;
-    T.Name = Name;
-    T.FaultKey = PC.Key;
-    hashStr(T.FaultKey, Name);
-    T.FaultKey ^= FaultKeySalt;
-    T.Build = std::move(Build);
-    PC.Tasks.push_back(std::move(T));
-  };
-
-  // Obligations quantifying over an arbitrary region statement run once
-  // per statement kind (see makeStmtOfKind).
-  auto AddSplitTask =
-      [&](const std::string &Name,
-          const std::function<z3::expr(ObligationBuilder &,
-                                       const z3::expr &)> &Build) {
-        for (const char *Tag : StmtKindTags) {
-          std::string TagStr = Tag;
-          AddTask(Name + "[" + Tag + "]",
+/// Obligations quantifying over an arbitrary region statement run once
+/// per statement kind (see makeStmtOfKind).
+void addSplitObligation(ObligationSet &Set, const std::string &Name,
+                        const SplitBuild &Build) {
+  for (const char *Tag : StmtKindTags) {
+    std::string TagStr = Tag;
+    addObligation(Set, Name + "[" + Tag + "]",
                   [Build, TagStr](ObligationBuilder &B) {
                     z3::expr St = makeStmtOfKind(B.Enc, TagStr);
                     return Build(B, St);
                   });
-        }
-      };
+  }
+}
+
+/// F1 and F2 (§4.2) over guard \p G and witness \p W: the obligations of
+/// a pure analysis, and the first two of a forward optimization. The
+/// closures read the caller's definition, which outlives the check.
+void addForwardWitnessObligations(ObligationSet &Set, const Guard *G,
+                                  const WitnessPtr *W) {
+  // F1: the enabling statement establishes the witness.
+  addSplitObligation(
+      Set, "F1", [G, W](ObligationBuilder &B, const z3::expr &St) {
+        ZState Eta = B.Enc.freshState("eta");
+        B.wfHyp(Eta);
+        B.hyp(B.PE.formula(*G->Psi1, St, Eta, B.Env, B.Hyps));
+        ZState Post = B.stepHyp(Eta, St, "p1");
+        B.wfHyp(Post);
+        return B.PE.witness(**W, &Post, nullptr, nullptr, B.Env);
+      });
+
+  // F2: innocuous statements preserve the witness.
+  addSplitObligation(
+      Set, "F2", [G, W](ObligationBuilder &B, const z3::expr &St) {
+        ZState Eta = B.Enc.freshState("eta");
+        B.wfHyp(Eta);
+        B.hyp(B.PE.witness(**W, &Eta, nullptr, nullptr, B.Env));
+        B.hyp(B.PE.formula(*G->Psi2, St, Eta, B.Env, B.Hyps));
+        ZState Post = B.stepHyp(Eta, St, "p2");
+        B.wfHyp(Post);
+        return B.PE.witness(**W, &Post, nullptr, nullptr, B.Env);
+      });
+}
+
+} // namespace
+
+ObligationSet SoundnessChecker::lower(const Optimization &O,
+                                      uint64_t Fingerprint) const {
+  ObligationSet Set;
+  Set.Name = O.Name;
+  Set.Fingerprint = Fingerprint;
+  Set.Cacheable = true;
+  Set.Labels = AllLabels;
+
+  // Record the analysis labels the guard mentions: the soundness
+  // guarantee is conditional on those analyses (checked separately).
+  auto Scan = [&](const FormulaPtr &F, auto &&ScanRef) -> void {
+    if (!F)
+      return;
+    if (F->K == Formula::Kind::FK_Label &&
+        Registry.isAnalysisLabel(F->LabelName)) {
+      auto It = AllLabels->find(F->LabelName);
+      std::string Dep = It != AllLabels->end()
+                            ? It->second->Name
+                            : F->LabelName + " (unknown)";
+      if (std::find(Set.AssumedAnalyses.begin(), Set.AssumedAnalyses.end(),
+                    Dep) == Set.AssumedAnalyses.end())
+        Set.AssumedAnalyses.push_back(Dep);
+    }
+    for (const FormulaPtr &Kid : F->Kids)
+      ScanRef(Kid, ScanRef);
+    for (const CaseArm &Arm : F->Arms)
+      ScanRef(Arm.Body, ScanRef);
+    if (F->ElseBody)
+      ScanRef(F->ElseBody, ScanRef);
+    // Recurse through predicate-label bodies for indirect uses.
+    if (F->K == Formula::Kind::FK_Label)
+      if (const LabelDef *Def = Registry.findPredicate(F->LabelName))
+        ScanRef(Def->Body, ScanRef);
+  };
+  Scan(O.Pat.G.Psi1, Scan);
+  Scan(O.Pat.G.Psi2, Scan);
+
+  // The closures capture this pointer: the definition lives in the
+  // caller and must outlive the set's check.
+  const TransformationPattern *Pat = &O.Pat;
+  bool Forward = Pat->Dir == Direction::D_Forward;
+  bool Insertion = Pat->From.is<SkipStmt>() && !Pat->To.is<SkipStmt>();
 
   if (Forward) {
-    // F1: the enabling statement establishes the witness.
-    AddSplitTask("F1", [Pat](ObligationBuilder &B, const z3::expr &St) {
-      ZState Eta = B.Enc.freshState("eta");
-      B.wfHyp(Eta);
-      B.hyp(B.PE.formula(*Pat->G.Psi1, St, Eta, B.Env, B.Hyps));
-      ZState Post = B.stepHyp(Eta, St, "p1");
-      B.wfHyp(Post);
-      return B.PE.witness(*Pat->W, &Post, nullptr, nullptr, B.Env);
-    });
-
-    // F2: innocuous statements preserve the witness.
-    AddSplitTask("F2", [Pat](ObligationBuilder &B, const z3::expr &St) {
-      ZState Eta = B.Enc.freshState("eta");
-      B.wfHyp(Eta);
-      B.hyp(B.PE.witness(*Pat->W, &Eta, nullptr, nullptr, B.Env));
-      B.hyp(B.PE.formula(*Pat->G.Psi2, St, Eta, B.Env, B.Hyps));
-      ZState Post = B.stepHyp(Eta, St, "p2");
-      B.wfHyp(Post);
-      return B.PE.witness(*Pat->W, &Post, nullptr, nullptr, B.Env);
-    });
+    addForwardWitnessObligations(Set, &Pat->G, &Pat->W);
 
     // F3: under the witness, s' steps exactly like s (and cannot be
     // stuck when s is not — the footnote-6 progress side).
-    AddTask("F3", [Pat](ObligationBuilder &B) {
+    addObligation(Set, "F3", [Pat](ObligationBuilder &B) {
       ZState Eta = B.Enc.freshState("eta");
       z3::expr StS = B.Enc.buildStmt(Pat->From, B.Env);
       z3::expr StT = B.Enc.buildStmt(Pat->To, B.Env);
@@ -615,222 +591,192 @@ SoundnessChecker::prepareOptimization(const Optimization &O) {
       B.hypAll(StepT.Constraints);
       return StepT.Defined && B.Enc.stateEq(StepT.Post, Post);
     });
-  } else {
-    // B1: executing s and s' from a common state establishes the witness.
-    AddTask("B1", [Pat](ObligationBuilder &B) {
+    return Set;
+  }
+
+  // B1: executing s and s' from a common state establishes the witness.
+  addObligation(Set, "B1", [Pat](ObligationBuilder &B) {
+    ZState Eta = B.Enc.freshState("eta");
+    z3::expr StS = B.Enc.buildStmt(Pat->From, B.Env);
+    z3::expr StT = B.Enc.buildStmt(Pat->To, B.Env);
+    B.wfHyp(Eta);
+    ZState Old = B.stepHyp(Eta, StS, "old");
+    ZState New = B.stepHyp(Eta, StT, "new");
+    return B.PE.witness(*Pat->W, nullptr, &Old, &New, B.Env);
+  });
+
+  // B2: innocuous statements preserve the witness, and the transformed
+  // trace can always step along (progress of the simulation).
+  addSplitObligation(
+      Set, "B2", [Pat](ObligationBuilder &B, const z3::expr &St) {
+        ZState Old = B.Enc.freshState("old");
+        ZState New = B.Enc.freshState("new");
+        B.wfHyp(Old);
+        B.wfHyp(New);
+        B.hyp(B.PE.witness(*Pat->W, nullptr, &Old, &New, B.Env));
+        B.hyp(B.PE.formula(*Pat->G.Psi2, St, Old, B.Env, B.Hyps));
+        ZState OldPost = B.stepHyp(Old, St, "oldp");
+        B.wfHyp(OldPost);
+        ZStep NewStep = B.Enc.encodeStep(New, St, "newp");
+        B.hypAll(NewStep.Constraints);
+        return NewStep.Defined &&
+               B.PE.witness(*Pat->W, nullptr, &OldPost, &NewStep.Post,
+                            B.Env);
+      });
+
+  // B3: the enabling statement re-unifies the traces.
+  addSplitObligation(
+      Set, "B3", [Pat](ObligationBuilder &B, const z3::expr &St) {
+        ZState Old = B.Enc.freshState("old");
+        ZState New = B.Enc.freshState("new");
+        B.wfHyp(Old);
+        B.wfHyp(New);
+        B.hyp(B.PE.witness(*Pat->W, nullptr, &Old, &New, B.Env));
+        B.hyp(B.PE.formula(*Pat->G.Psi1, St, Old, B.Env, B.Hyps));
+        ZState OldPost = B.stepHyp(Old, St, "oldp");
+        ZStep NewStep = B.Enc.encodeStep(New, St, "newp");
+        B.hypAll(NewStep.Constraints);
+        return NewStep.Defined && B.Enc.stateEq(NewStep.Post, OldPost);
+      });
+
+  if (!Insertion) {
+    // B4: s' cannot get stuck when s steps.
+    addObligation(Set, "B4", [Pat](ObligationBuilder &B) {
       ZState Eta = B.Enc.freshState("eta");
       z3::expr StS = B.Enc.buildStmt(Pat->From, B.Env);
       z3::expr StT = B.Enc.buildStmt(Pat->To, B.Env);
       B.wfHyp(Eta);
-      ZState Old = B.stepHyp(Eta, StS, "old");
-      ZState New = B.stepHyp(Eta, StT, "new");
-      return B.PE.witness(*Pat->W, nullptr, &Old, &New, B.Env);
+      B.hyp(stepDefinedOnly(B.Enc, Eta, StS, "ps"));
+      return stepDefinedOnly(B.Enc, Eta, StT, "pt");
     });
-
-    // B2: innocuous statements preserve the witness, and the transformed
-    // trace can always step along (progress of the simulation).
-    AddSplitTask("B2", [Pat](ObligationBuilder &B, const z3::expr &St) {
-      ZState Old = B.Enc.freshState("old");
-      ZState New = B.Enc.freshState("new");
-      B.wfHyp(Old);
-      B.wfHyp(New);
-      B.hyp(B.PE.witness(*Pat->W, nullptr, &Old, &New, B.Env));
-      B.hyp(B.PE.formula(*Pat->G.Psi2, St, Old, B.Env, B.Hyps));
-      ZState OldPost = B.stepHyp(Old, St, "oldp");
-      B.wfHyp(OldPost);
-      ZStep NewStep = B.Enc.encodeStep(New, St, "newp");
-      B.hypAll(NewStep.Constraints);
-      return NewStep.Defined &&
-             B.PE.witness(*Pat->W, nullptr, &OldPost, &NewStep.Post,
-                          B.Env);
-    });
-
-    // B3: the enabling statement re-unifies the traces.
-    AddSplitTask("B3", [Pat](ObligationBuilder &B, const z3::expr &St) {
-      ZState Old = B.Enc.freshState("old");
-      ZState New = B.Enc.freshState("new");
-      B.wfHyp(Old);
-      B.wfHyp(New);
-      B.hyp(B.PE.witness(*Pat->W, nullptr, &Old, &New, B.Env));
-      B.hyp(B.PE.formula(*Pat->G.Psi1, St, Old, B.Env, B.Hyps));
-      ZState OldPost = B.stepHyp(Old, St, "oldp");
-      ZStep NewStep = B.Enc.encodeStep(New, St, "newp");
-      B.hypAll(NewStep.Constraints);
-      return NewStep.Defined && B.Enc.stateEq(NewStep.Post, OldPost);
-    });
-
-    if (!Insertion) {
-      // B4: s' cannot get stuck when s steps.
-      AddTask("B4", [Pat](ObligationBuilder &B) {
-        ZState Eta = B.Enc.freshState("eta");
-        z3::expr StS = B.Enc.buildStmt(Pat->From, B.Env);
-        z3::expr StT = B.Enc.buildStmt(Pat->To, B.Env);
-        B.wfHyp(Eta);
-        B.hyp(stepDefinedOnly(B.Enc, Eta, StS, "ps"));
-        return stepDefinedOnly(B.Enc, Eta, StT, "pt");
-      });
-    } else {
-      // Insertions (s = skip) cannot establish progress locally; instead
-      // the hand-proven meta-theorem walks the complete original trace:
-      // on a returning run the enabler executes, so (I2) s' can step
-      // there, and (I1) pushes that fact backwards through the region.
-      AddSplitTask("I1", [Pat](ObligationBuilder &B, const z3::expr &St) {
-        ZState Eta = B.Enc.freshState("eta");
-        z3::expr StT = B.Enc.buildStmt(Pat->To, B.Env);
-        B.wfHyp(Eta);
-        B.hyp(B.PE.formula(*Pat->G.Psi2, St, Eta, B.Env, B.Hyps));
-        ZState Post = B.stepHyp(Eta, St, "p");
-        B.wfHyp(Post);
-        B.hyp(stepDefinedOnly(B.Enc, Post, StT, "pa"));
-        return stepDefinedOnly(B.Enc, Eta, StT, "pb");
-      });
-      AddSplitTask("I2", [Pat](ObligationBuilder &B, const z3::expr &St) {
-        ZState Eta = B.Enc.freshState("eta");
-        z3::expr StT = B.Enc.buildStmt(Pat->To, B.Env);
-        B.wfHyp(Eta);
-        B.hyp(B.PE.formula(*Pat->G.Psi1, St, Eta, B.Env, B.Hyps));
-        B.hyp(stepDefinedOnly(B.Enc, Eta, St, "p"));
-        return stepDefinedOnly(B.Enc, Eta, StT, "pt");
-      });
-    }
-
-    // B5: a return enabler ends the procedure's activation with both
-    // traces agreeing on the return value and on every location the
-    // caller could observe (cells differing between the traces must be
-    // unreachable). Catches escaped-local bugs.
-    AddTask("B5", [Pat](ObligationBuilder &B) {
-      ZState Old = B.Enc.freshState("old");
-      ZState New = B.Enc.freshState("new");
-      z3::expr St = B.Enc.SReturn(B.Enc.freshVar("rv"));
-      B.wfHyp(Old);
-      B.wfHyp(New);
-      B.hyp(B.PE.witness(*Pat->W, nullptr, &Old, &New, B.Env));
-      B.hyp(B.PE.formula(*Pat->G.Psi1, St, Old, B.Env, B.Hyps));
-
-      z3::expr RetVar = B.Enc.SReturnVar(St);
-      z3::expr OldDef = z3::select(Old.Scope, RetVar);
-      z3::expr OldVal =
-          z3::select(Old.Sto, z3::select(Old.Env, RetVar));
-      z3::expr NewDef = z3::select(New.Scope, RetVar);
-      z3::expr NewVal =
-          z3::select(New.Sto, z3::select(New.Env, RetVar));
-
-      z3::expr L = B.C.int_const("b5L");
-      z3::expr StoresAgreeOrUnreachable = z3::forall(
-          L, z3::implies(z3::select(Old.Sto, L) != z3::select(New.Sto, L),
-                         B.Enc.notPointedToLoc(Old, L) &&
-                             L != z3::select(Old.Env, RetVar)));
-      return z3::implies(OldDef,
-                         NewDef && OldVal == NewVal &&
-                             Old.Alloc == New.Alloc &&
-                             StoresAgreeOrUnreachable);
-    });
+  } else {
+    // Insertions (s = skip) cannot establish progress locally; instead
+    // the hand-proven meta-theorem walks the complete original trace: on
+    // a returning run the enabler executes, so (I2) s' can step there,
+    // and (I1) pushes that fact backwards through the region.
+    addSplitObligation(
+        Set, "I1", [Pat](ObligationBuilder &B, const z3::expr &St) {
+          ZState Eta = B.Enc.freshState("eta");
+          z3::expr StT = B.Enc.buildStmt(Pat->To, B.Env);
+          B.wfHyp(Eta);
+          B.hyp(B.PE.formula(*Pat->G.Psi2, St, Eta, B.Env, B.Hyps));
+          ZState Post = B.stepHyp(Eta, St, "p");
+          B.wfHyp(Post);
+          B.hyp(stepDefinedOnly(B.Enc, Post, StT, "pa"));
+          return stepDefinedOnly(B.Enc, Eta, StT, "pb");
+        });
+    addSplitObligation(
+        Set, "I2", [Pat](ObligationBuilder &B, const z3::expr &St) {
+          ZState Eta = B.Enc.freshState("eta");
+          z3::expr StT = B.Enc.buildStmt(Pat->To, B.Env);
+          B.wfHyp(Eta);
+          B.hyp(B.PE.formula(*Pat->G.Psi1, St, Eta, B.Env, B.Hyps));
+          B.hyp(stepDefinedOnly(B.Enc, Eta, St, "p"));
+          return stepDefinedOnly(B.Enc, Eta, StT, "pt");
+        });
   }
 
+  // B5: a return enabler ends the procedure's activation with both traces
+  // agreeing on the return value and on every location the caller could
+  // observe (cells differing between the traces must be unreachable).
+  // Catches escaped-local bugs.
+  addObligation(Set, "B5", [Pat](ObligationBuilder &B) {
+    ZState Old = B.Enc.freshState("old");
+    ZState New = B.Enc.freshState("new");
+    z3::expr St = B.Enc.SReturn(B.Enc.freshVar("rv"));
+    B.wfHyp(Old);
+    B.wfHyp(New);
+    B.hyp(B.PE.witness(*Pat->W, nullptr, &Old, &New, B.Env));
+    B.hyp(B.PE.formula(*Pat->G.Psi1, St, Old, B.Env, B.Hyps));
+
+    z3::expr RetVar = B.Enc.SReturnVar(St);
+    z3::expr OldDef = z3::select(Old.Scope, RetVar);
+    z3::expr OldVal = z3::select(Old.Sto, z3::select(Old.Env, RetVar));
+    z3::expr NewDef = z3::select(New.Scope, RetVar);
+    z3::expr NewVal = z3::select(New.Sto, z3::select(New.Env, RetVar));
+
+    z3::expr L = B.C.int_const("b5L");
+    z3::expr StoresAgreeOrUnreachable = z3::forall(
+        L, z3::implies(z3::select(Old.Sto, L) != z3::select(New.Sto, L),
+                       B.Enc.notPointedToLoc(Old, L) &&
+                           L != z3::select(Old.Env, RetVar)));
+    return z3::implies(OldDef, NewDef && OldVal == NewVal &&
+                                   Old.Alloc == New.Alloc &&
+                                   StoresAgreeOrUnreachable);
+  });
+  return Set;
+}
+
+ObligationSet SoundnessChecker::lower(const PureAnalysis &A,
+                                      uint64_t Fingerprint) const {
+  ObligationSet Set;
+  Set.Name = A.Name;
+  Set.Fingerprint = Fingerprint;
+  Set.Cacheable = true;
+  auto Labels = std::make_shared<AnalysisTable>();
+  for (const PureAnalysis &Other : Analyses)
+    if (Other.Name != A.Name)
+      (*Labels)[Other.LabelName] = &Other;
+  Set.Labels = std::move(Labels);
+  addForwardWitnessObligations(Set, &A.G, &A.W);
+  return Set;
+}
+
+//===----------------------------------------------------------------------===//
+// Checking: claim, discharge, settle.
+//===----------------------------------------------------------------------===//
+
+/// One set's stake in a check. Report.Obligations[I] receives the result
+/// of Set->Obligations[I]; the set itself lives in the caller's vector.
+struct SoundnessChecker::PreparedCheck {
+  const ObligationSet *Set = nullptr;
+  const AnalysisTable *Labels = nullptr; ///< The table the set builds on.
+  /// The check's stake in the verdict store: empty when the set is not
+  /// Cacheable, leading while this checker owes the store its verdict.
+  VerdictStore::Claim Claim;
+  bool Served = false; ///< The store answers the claim: nothing to prove.
+  CheckReport Report;
+  std::chrono::steady_clock::time_point Start;
+};
+
+SoundnessChecker::PreparedCheck
+SoundnessChecker::prepare(const ObligationSet &Set) {
+  PreparedCheck PC;
+  PC.Set = &Set;
+  PC.Labels = Set.Labels ? Set.Labels.get() : AllLabels.get();
+  PC.Report.Name = Set.Name;
+  if (Set.Cacheable) {
+    PC.Claim = Store->claim(Set.Fingerprint);
+    PC.Served = !PC.Claim.leads();
+  }
+  CacheHits += PC.Served;
+  if (!PC.Served) {
+    PC.Report.AssumedAnalyses = Set.AssumedAnalyses;
+    PC.Report.Obligations.resize(Set.Obligations.size());
+  }
   return PC;
 }
 
 CheckReport SoundnessChecker::checkOptimization(const Optimization &O) {
-  std::vector<PreparedCheck> Checks;
-  Checks.push_back(prepareOptimization(O));
-  return std::move(runPrepared(std::move(Checks)).front());
-}
-
-//===----------------------------------------------------------------------===//
-// Pure-analysis obligations.
-//===----------------------------------------------------------------------===//
-
-SoundnessChecker::PreparedCheck
-SoundnessChecker::prepareAnalysis(const PureAnalysis &A) {
-  PreparedCheck PC;
-  PC.Key = fingerprintAnalysis(A);
-  PC.Report.Name = A.Name;
-  if (claimVerdict(PC))
-    return PC;
-
-  PC.ByLabel =
-      std::make_shared<std::map<std::string, const PureAnalysis *>>();
-  for (const PureAnalysis &Other : Analyses)
-    if (Other.Name != A.Name)
-      (*PC.ByLabel)[Other.LabelName] = &Other;
-
-  const PureAnalysis *AP = &A;
-
-  auto AddSplitTask =
-      [&](const std::string &Name,
-          const std::function<z3::expr(ObligationBuilder &,
-                                       const z3::expr &)> &Build) {
-        for (const char *Tag : StmtKindTags) {
-          std::string TagStr = Tag;
-          ObligationTask T;
-          T.Name = Name + "[" + Tag + "]";
-          T.FaultKey = PC.Key;
-          hashStr(T.FaultKey, T.Name);
-          T.FaultKey ^= FaultKeySalt;
-          T.Build = [Build, TagStr](ObligationBuilder &B) {
-            z3::expr St = makeStmtOfKind(B.Enc, TagStr);
-            return Build(B, St);
-          };
-          PC.Tasks.push_back(std::move(T));
-        }
-      };
-
-  AddSplitTask("F1", [AP](ObligationBuilder &B, const z3::expr &St) {
-    ZState Eta = B.Enc.freshState("eta");
-    B.wfHyp(Eta);
-    B.hyp(B.PE.formula(*AP->G.Psi1, St, Eta, B.Env, B.Hyps));
-    ZState Post = B.stepHyp(Eta, St, "p1");
-    B.wfHyp(Post);
-    return B.PE.witness(*AP->W, &Post, nullptr, nullptr, B.Env);
-  });
-
-  AddSplitTask("F2", [AP](ObligationBuilder &B, const z3::expr &St) {
-    ZState Eta = B.Enc.freshState("eta");
-    B.wfHyp(Eta);
-    B.hyp(B.PE.witness(*AP->W, &Eta, nullptr, nullptr, B.Env));
-    B.hyp(B.PE.formula(*AP->G.Psi2, St, Eta, B.Env, B.Hyps));
-    ZState Post = B.stepHyp(Eta, St, "p2");
-    B.wfHyp(Post);
-    return B.PE.witness(*AP->W, &Post, nullptr, nullptr, B.Env);
-  });
-
-  return PC;
+  return std::move(
+      checkObligationSets({lower(O, fingerprintOptimization(O))}).front());
 }
 
 CheckReport SoundnessChecker::checkAnalysis(const PureAnalysis &A) {
-  std::vector<PreparedCheck> Checks;
-  Checks.push_back(prepareAnalysis(A));
-  return std::move(runPrepared(std::move(Checks)).front());
+  return std::move(
+      checkObligationSets({lower(A, fingerprintAnalysis(A))}).front());
 }
 
-//===----------------------------------------------------------------------===//
-// Caller-assembled obligation sets (translation validation and friends).
-//===----------------------------------------------------------------------===//
-
-SoundnessChecker::PreparedCheck
-SoundnessChecker::prepareObligationSet(const ObligationSet &Set) {
-  PreparedCheck PC;
-  PC.Key = Set.Fingerprint;
-  PC.Cacheable = Set.Cacheable;
-  PC.Report.Name = Set.Name;
-  if (claimVerdict(PC))
-    return PC;
-
-  PC.ByLabel =
-      std::make_shared<std::map<std::string, const PureAnalysis *>>();
-  for (const PureAnalysis &A : Analyses)
-    (*PC.ByLabel)[A.LabelName] = &A;
-
-  for (const ObligationSpec &S : Set.Obligations) {
-    ObligationTask T;
-    T.Name = S.Name;
-    T.FaultKey = PC.Key;
-    hashStr(T.FaultKey, S.Name);
-    T.FaultKey ^= FaultKeySalt;
-    T.Build = S.Build;
-    PC.Tasks.push_back(std::move(T));
-  }
-  return PC;
+std::vector<CheckReport> SoundnessChecker::checkSuite(
+    const std::vector<PureAnalysis> &SuiteAnalyses,
+    const std::vector<Optimization> &SuiteOptimizations) {
+  std::vector<ObligationSet> Sets;
+  Sets.reserve(SuiteAnalyses.size() + SuiteOptimizations.size());
+  for (const PureAnalysis &A : SuiteAnalyses)
+    Sets.push_back(lower(A, fingerprintAnalysis(A)));
+  for (const Optimization &O : SuiteOptimizations)
+    Sets.push_back(lower(O, fingerprintOptimization(O)));
+  return checkObligationSets(Sets);
 }
 
 std::vector<CheckReport> SoundnessChecker::checkObligationSets(
@@ -838,44 +784,8 @@ std::vector<CheckReport> SoundnessChecker::checkObligationSets(
   std::vector<PreparedCheck> Checks;
   Checks.reserve(Sets.size());
   for (const ObligationSet &Set : Sets)
-    Checks.push_back(prepareObligationSet(Set));
-  return runPrepared(std::move(Checks));
-}
+    Checks.push_back(prepare(Set));
 
-//===----------------------------------------------------------------------===//
-// Execution: sequential or fanned into the thread pool.
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Finalizes one obligation's telemetry: outcome args on its span plus
-/// the checker.* counters. All values are deterministic except the
-/// prover_seconds histogram (wall time, humans-only).
-void recordObligation(const ObligationResult &R, support::TraceSpan &Span) {
-  const char *Verdict = R.proven()              ? "proven"
-                        : R.St == ObligationResult::Status::OS_Failed
-                            ? "failed"
-                            : "unknown";
-  if (Span.enabled()) {
-    Span.arg("verdict", std::string(Verdict));
-    Span.arg("attempts", static_cast<uint64_t>(R.Attempts));
-    Span.arg("rlimit", R.RlimitSpent);
-  }
-  if (support::Telemetry *T = support::Telemetry::active()) {
-    T->Metrics.add("checker.obligations");
-    T->Metrics.add(std::string("checker.obligations.") + Verdict);
-    if (R.Attempts > 1)
-      T->Metrics.add("checker.retries", R.Attempts - 1);
-    if (R.RlimitSpent)
-      T->Metrics.add("checker.rlimit_spent", R.RlimitSpent);
-    T->Metrics.observe("checker.prover_seconds", R.Seconds);
-  }
-}
-
-} // namespace
-
-std::vector<CheckReport>
-SoundnessChecker::runPrepared(std::vector<PreparedCheck> Checks) {
   support::TraceSpan SuiteSpan("checker", "checkSuite");
   if (SuiteSpan.enabled())
     SuiteSpan.arg("definitions", static_cast<uint64_t>(Checks.size()));
@@ -896,10 +806,8 @@ SoundnessChecker::runPrepared(std::vector<PreparedCheck> Checks) {
   for (PreparedCheck &PC : Checks) {
     if (PC.Served)
       continue;
-    for (ObligationTask &T : PC.Tasks) {
-      PC.Report.TotalSeconds += T.Result.Seconds;
-      PC.Report.Obligations.push_back(std::move(T.Result));
-    }
+    for (const ObligationResult &R : PC.Report.Obligations)
+      PC.Report.TotalSeconds += R.Seconds;
     finalizeVerdict(PC.Report);
     if (PC.Claim.leads())
       Store->settle(PC.Claim, PC.Report);
@@ -920,13 +828,38 @@ SoundnessChecker::runPrepared(std::vector<PreparedCheck> Checks) {
   return Out;
 }
 
+namespace {
+
+/// Finalizes one obligation's telemetry: outcome args on its span plus
+/// the checker.* counters. All values are deterministic except the
+/// prover_seconds histogram (wall time, humans-only).
+void recordObligation(const ObligationResult &R, support::TraceSpan &Span) {
+  const char *Verdict = ObligationResult::statusName(R.St);
+  if (Span.enabled()) {
+    Span.arg("verdict", std::string(Verdict));
+    Span.arg("attempts", static_cast<uint64_t>(R.Attempts));
+    Span.arg("rlimit", R.RlimitSpent);
+  }
+  if (support::Telemetry *T = support::Telemetry::active()) {
+    T->Metrics.add("checker.obligations");
+    T->Metrics.add(std::string("checker.obligations.") + Verdict);
+    if (R.Attempts > 1)
+      T->Metrics.add("checker.retries", R.Attempts - 1);
+    if (R.RlimitSpent)
+      T->Metrics.add("checker.rlimit_spent", R.RlimitSpent);
+    T->Metrics.observe("checker.prover_seconds", R.Seconds);
+  }
+}
+
+} // namespace
+
 void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
   // Pool threads do not inherit this thread's trace-ID TLS, so capture
   // the ambient request trace ID here and re-establish it inside every
-  // task body (and ship it across the worker fork).
+  // job (and ship it across the worker fork).
   const uint64_t SuiteTraceId = support::TraceRecorder::currentTraceId();
-  // Flatten every definition's tasks into one job list so one slow
-  // obligation does not serialize the definitions behind it.
+  // Flatten every set's obligations into one job list so one slow
+  // obligation does not serialize the sets behind it.
   std::vector<std::pair<size_t, size_t>> Flat;
   auto Now = std::chrono::steady_clock::now();
   for (size_t CI = 0; CI < Checks.size(); ++CI) {
@@ -940,24 +873,23 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
         Cached.arg("def", Checks[CI].Report.Name);
       continue;
     }
-    for (size_t TI = 0; TI < Checks[CI].Tasks.size(); ++TI)
-      Flat.emplace_back(CI, TI);
+    for (size_t OI = 0; OI < Checks[CI].Set->Obligations.size(); ++OI)
+      Flat.emplace_back(CI, OI);
   }
 
-  // The discharge path proper: build the query in a fresh context and
-  // run the solver. In-process mode runs it on the checker's threads
-  // (under the job's fault scope); subprocess mode runs the *same
-  // closure* inside a worker child, so the two modes cannot drift.
+  // The discharge proper: build the query in a fresh context and run the
+  // solver. In-process mode runs it on the checker's threads (under the
+  // job's fault scope); subprocess mode runs the *same closure* inside a
+  // worker child, so the two modes cannot drift.
   auto Discharge = [&](size_t Idx, int64_t Left) -> ObligationResult {
-    auto [CI, TI] = Flat[Idx];
-    PreparedCheck &PC = Checks[CI];
-    ObligationTask &T = PC.Tasks[TI];
-    ObligationBuilder B(Registry, *PC.ByLabel);
-    z3::expr Goal = T.Build(B);
-    return B.check(T.Name, Goal, Policy, Left);
+    auto [CI, OI] = Flat[Idx];
+    const ObligationSpec &Spec = Checks[CI].Set->Obligations[OI];
+    ObligationBuilder B(Registry, *Checks[CI].Labels);
+    z3::expr Goal = Spec.Build(B);
+    return B.check(Spec.Name, Goal, Policy, Left);
   };
 
-  // Out-of-process mode: fork the workers *now*, before any task fans
+  // Out-of-process mode: fork the workers *now*, before any job fans
   // onto the thread pool — its threads are idle (condvar wait), so no
   // lock can be mid-flight in the forked image. Later respawn forks are
   // safe for the same reason in a different guise: while the pool is
@@ -982,8 +914,8 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
     }
   }
 
-  // Wall budget left for the obligation's definition: -1 = unlimited,
-  // 0 = exhausted (skip without dispatching).
+  // Wall budget left for the obligation's set: -1 = unlimited, 0 =
+  // exhausted (skip without dispatching).
   auto BudgetLeft = [this](const PreparedCheck &PC) -> int64_t {
     if (Policy.BudgetMs == 0)
       return -1;
@@ -995,32 +927,6 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
         0, static_cast<int64_t>(Policy.BudgetMs) - Elapsed);
   };
 
-  // The full in-process path for one flat index: fault scope, budget,
-  // discharge, record.
-  auto RunInProcess = [&](size_t Idx) {
-    auto [CI, TI] = Flat[Idx];
-    PreparedCheck &PC = Checks[CI];
-    ObligationTask &T = PC.Tasks[TI];
-    support::TraceIdScope IdScope(SuiteTraceId);
-    support::TraceSpan Span("checker", "obligation");
-    if (Span.enabled()) {
-      Span.arg("def", PC.Report.Name);
-      Span.arg("ob", T.Name);
-    }
-    int64_t Left = BudgetLeft(PC);
-    if (Left == 0) {
-      T.Result = budgetExhausted(T.Name);
-      recordObligation(T.Result, Span);
-      return;
-    }
-    // Fault decisions inside this job are keyed on its stable
-    // fingerprint, so `--jobs 8` fires exactly the faults `--jobs 1`
-    // does regardless of scheduling.
-    support::ScopedFaultKey JobKey(T.FaultKey);
-    T.Result = Discharge(Idx, Left);
-    recordObligation(T.Result, Span);
-  };
-
   // Under DM_InProcess, obligations quarantined by the pool are deferred
   // here and rerun in-process *after* the pool stops: running Z3 on a
   // parent thread while the pool can still fork replacements would let a
@@ -1029,52 +935,59 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
   std::mutex DeferredMutex;
   std::vector<size_t> Deferred;
 
-  auto RunTask = [&](size_t Idx) {
-    if (!Workers) {
-      RunInProcess(Idx);
-      return;
-    }
-    auto [CI, TI] = Flat[Idx];
+  // The one per-obligation runner: trace span, budget check, dispatch
+  // (in-process, or on a leased worker), record. The span carries
+  // deterministic args only (verdict, attempts, rlimit — wall time lives
+  // in the span duration, which equivalence tests ignore).
+  auto Run = [&](size_t Idx, bool InProcess) {
+    auto [CI, OI] = Flat[Idx];
     PreparedCheck &PC = Checks[CI];
-    ObligationTask &T = PC.Tasks[TI];
+    const std::string &Name = PC.Set->Obligations[OI].Name;
+    ObligationResult &Result = PC.Report.Obligations[OI];
+    // The job's stable fingerprint (set fingerprint ⊕ obligation name ⊕
+    // salt) keys its fault decisions, so `--jobs 8` fires exactly the
+    // faults `--jobs 1` does regardless of scheduling.
+    uint64_t FaultKey = PC.Set->Fingerprint;
+    hashStr(FaultKey, Name);
+    FaultKey ^= FaultKeySalt;
     support::TraceIdScope IdScope(SuiteTraceId);
-    // Per-obligation span: one lane-local event per prover job, with
-    // deterministic args only (verdict, attempts, rlimit — wall time
-    // lives in the span duration, which equivalence tests ignore).
     support::TraceSpan Span("checker", "obligation");
     if (Span.enabled()) {
       Span.arg("def", PC.Report.Name);
-      Span.arg("ob", T.Name);
+      Span.arg("ob", Name);
     }
     int64_t Left = BudgetLeft(PC);
     if (Left == 0) {
-      T.Result = budgetExhausted(T.Name);
-      recordObligation(T.Result, Span);
-      return;
+      Result = budgetExhausted(Name);
+    } else if (InProcess) {
+      support::ScopedFaultKey JobKey(FaultKey);
+      Result = Discharge(Idx, Left);
+    } else {
+      // The worker child opens the fault scope (per request, so retried
+      // obligations redraw the same decisions); the parent supervises.
+      Result = Workers->run(Idx, Name, FaultKey, Left, SuiteTraceId);
+      if (Result.Err.Kind == ErrorKind::EK_WorkerCrash &&
+          Policy.Degraded == DegradedMode::DM_InProcess) {
+        // Opt-in last resort: answer beats isolation. Deferred past the
+        // pool's lifetime (see above); the rerun records the result.
+        std::lock_guard<std::mutex> Lock(DeferredMutex);
+        Deferred.push_back(Idx);
+        return;
+      }
     }
-    // The worker child opens the fault scope (per request, so retried
-    // obligations redraw the same decisions); the parent only
-    // supervises.
-    T.Result = Workers->run(Idx, T.Name, T.FaultKey, Left, SuiteTraceId);
-    if (T.Result.Err.Kind == ErrorKind::EK_WorkerCrash &&
-        Policy.Degraded == DegradedMode::DM_InProcess) {
-      // Opt-in last resort: answer beats isolation. Deferred past the
-      // pool's lifetime (see above); the final result is recorded there.
-      std::lock_guard<std::mutex> Lock(DeferredMutex);
-      Deferred.push_back(Idx);
-      return;
-    }
-    recordObligation(T.Result, Span);
+    recordObligation(Result, Span);
   };
 
-  // Inline-mode pools and the no-pool case both run the flat list in
-  // index order on this thread — exactly the pre-parallel sequential
-  // checker.
-  if (Pool && !Pool->inlineMode())
-    Pool->parallelFor(Flat.size(), RunTask);
-  else
-    for (size_t I = 0; I < Flat.size(); ++I)
-      RunTask(I);
+  // Inline-mode pools and the no-pool case run jobs in index order on
+  // this thread — exactly the sequential checker.
+  auto ForEach = [this](size_t N, const std::function<void(size_t)> &F) {
+    if (Pool && !Pool->inlineMode())
+      Pool->parallelFor(N, F);
+    else
+      for (size_t I = 0; I < N; ++I)
+        F(I);
+  };
+  ForEach(Flat.size(), [&](size_t I) { Run(I, /*InProcess=*/!Workers); });
 
   if (Workers) {
     Workers->stop();
@@ -1085,24 +998,8 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
       // trades for an answer.
       std::sort(Deferred.begin(), Deferred.end());
       support::metricAdd("worker.fallback_inprocess", Deferred.size());
-      auto RunDeferred = [&](size_t I) { RunInProcess(Deferred[I]); };
-      if (Pool && !Pool->inlineMode())
-        Pool->parallelFor(Deferred.size(), RunDeferred);
-      else
-        for (size_t I = 0; I < Deferred.size(); ++I)
-          RunDeferred(I);
+      ForEach(Deferred.size(),
+              [&](size_t I) { Run(Deferred[I], /*InProcess=*/true); });
     }
   }
-}
-
-std::vector<CheckReport> SoundnessChecker::checkSuite(
-    const std::vector<PureAnalysis> &SuiteAnalyses,
-    const std::vector<Optimization> &SuiteOptimizations) {
-  std::vector<PreparedCheck> Checks;
-  Checks.reserve(SuiteAnalyses.size() + SuiteOptimizations.size());
-  for (const PureAnalysis &A : SuiteAnalyses)
-    Checks.push_back(prepareAnalysis(A));
-  for (const Optimization &O : SuiteOptimizations)
-    Checks.push_back(prepareOptimization(O));
-  return runPrepared(std::move(Checks));
 }

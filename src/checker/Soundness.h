@@ -50,9 +50,11 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cobalt {
@@ -64,8 +66,12 @@ class ThreadPool;
 
 namespace checker {
 
-struct ObligationSet; ///< checker/Obligations.h — external obligations.
+struct ObligationSet; ///< checker/Obligations.h — the unit of work.
 class VerdictStore;   ///< checker/VerdictStore.h — the verdict memo.
+
+/// Analysis label → the pure analysis defining it: the label witnesses an
+/// obligation may assume (§3.2.3 label semantics).
+using AnalysisTable = std::map<std::string, const PureAnalysis *>;
 
 /// Outcome of one obligation. Three-valued: *proven* (unsat), *failed*
 /// (a genuine counterexample model was found — the definition is
@@ -75,8 +81,14 @@ class VerdictStore;   ///< checker/VerdictStore.h — the verdict memo.
 /// an unknown one carries an error callers can dispatch on.
 struct ObligationResult {
   enum class Status { OS_Proven, OS_Failed, OS_Unknown };
+  /// "proven" / "failed" / "unknown" — with verdictName below, the one
+  /// spelling used by disk entries, worker frames, --report=json, trace
+  /// args and metric names.
+  static const char *statusName(Status S);
+  static std::optional<Status> parseStatus(std::string_view Name);
+
   std::string Name; ///< "F1", "B3", ...
-  Status St;
+  Status St = Status::OS_Unknown;
   /// Why the prover gave up; failed() exactly when St == OS_Unknown.
   /// Kind is EK_ProverTimeout / EK_ProverUnknown / EK_ProverResourceOut;
   /// Message is the solver's reason_unknown. (The unified support::Error
@@ -103,6 +115,9 @@ struct CheckReport {
   /// definition must not be applied, yet nothing is known to be wrong
   /// with it.
   enum class Verdict { V_Sound, V_Unsound, V_Unproven };
+  /// "sound" / "unsound" / "unproven".
+  static const char *verdictName(Verdict V);
+  static std::optional<Verdict> parseVerdict(std::string_view Name);
 
   std::string Name;
   Verdict V = Verdict::V_Unproven;
@@ -152,18 +167,19 @@ enum class DegradedMode {
 /// Resource policy for discharging obligations. Attempts escalate: the
 /// first runs at InitialTimeoutMs, each retry multiplies the timeout by
 /// EscalationFactor, and the final attempt runs at the full TimeoutMs.
-/// An optional total wall-clock budget bounds one whole
-/// checkOptimization/checkAnalysis call; obligations past the budget are
-/// reported unknown(ProverTimeout) without invoking the solver.
+/// An optional total wall-clock budget bounds each obligation set (one
+/// definition, or one validated procedure pair); obligations past the
+/// budget are reported unknown(ProverTimeout) without invoking the
+/// solver. Caching is not policy: each ObligationSet says whether its
+/// verdict may be claimed in the verdict store.
 struct ProverPolicy {
   unsigned TimeoutMs = 30000;       ///< Final-attempt (full) timeout.
   unsigned InitialTimeoutMs = 2000; ///< First-attempt timeout.
   unsigned EscalationFactor = 5;    ///< Timeout multiplier per retry.
   unsigned Retries = 2;             ///< Extra attempts after the first.
-  uint64_t BudgetMs = 0;            ///< Per-check wall budget; 0 = none.
+  uint64_t BudgetMs = 0;            ///< Per-set wall budget; 0 = none.
   unsigned MaxMemoryMb = 0;         ///< Z3 max_memory cap; 0 = default.
   uint64_t RLimit = 0;              ///< Z3 rlimit cap; 0 = unlimited.
-  bool CacheVerdicts = true;        ///< Fingerprint-keyed verdict cache.
 
   /// \name Worker isolation (meaningful under WI_Subprocess).
   /// @{
@@ -184,23 +200,34 @@ struct ProverPolicy {
 /// Construct once and reuse (each obligation runs in a fresh Z3 context,
 /// which is also what makes obligations independently schedulable).
 ///
+/// ## One obligation path
+/// The unit of work is an ObligationSet (checker/Obligations.h). lower()
+/// turns an optimization or a pure analysis into one; the translation
+/// validator assembles its own. checkObligationSets() discharges sets,
+/// and checkOptimization/checkAnalysis/checkSuite are lower() followed by
+/// it, so every obligation takes the same path: claim, fan-out, budget,
+/// containment, trace span, telemetry.
+///
 /// ## Caching
-/// Verdicts live in a checker::VerdictStore keyed by a structural
-/// fingerprint of the definition and its checking context, so re-checking
-/// an unchanged definition is free. A check claims each definition in the
-/// store, proves and settles the ones it leads, and only then waits on
-/// the ones it joined (another checker sharing the store proves them).
-/// Unproven verdicts are never kept. The store is private and memory-only
-/// by default; setCacheDir() adds the disk tier, setSharedCache() shares
-/// one store among many checkers.
+/// Verdicts live in a checker::VerdictStore keyed by the set's
+/// fingerprint — for rules and analyses a structural fingerprint of the
+/// definition and its checking context, so re-checking an unchanged
+/// definition is free. A check claims each Cacheable set in the store,
+/// proves and settles the ones it leads, and only then waits on the ones
+/// it joined (another checker sharing the store proves them). Unproven
+/// verdicts are never kept. A caller that claims verdicts itself (as
+/// CobaltService::check does) lowers its sets with Cacheable = false.
+/// The store is private and memory-only by default; setCacheDir() adds
+/// the disk tier, setSharedCache() shares one store among many checkers.
 ///
 /// ## Parallelism
-/// checkSuite() fans the obligations of *all* definitions into a
+/// checkObligationSets() fans the obligations of *all* its sets into a
 /// ThreadPool as independent jobs and reassembles reports in input
 /// order. Reports are bit-identical to a sequential run: obligations are
-/// deterministic Z3 queries, collection order is by (definition,
-/// obligation) index, and fault-injection decisions are keyed on stable
-/// obligation fingerprints rather than arrival order.
+/// deterministic Z3 queries, collection order is by (set, obligation)
+/// index, and fault-injection decisions are keyed on stable obligation
+/// fingerprints (set fingerprint, obligation name, salt) rather than
+/// arrival order.
 class SoundnessChecker {
 public:
   /// \p Registry supplies user label definitions; \p Analyses supplies
@@ -242,13 +269,25 @@ public:
   CheckReport checkOptimization(const Optimization &O);
   CheckReport checkAnalysis(const PureAnalysis &A);
 
-  /// Discharges caller-assembled obligation bundles (checker/Obligations.h)
-  /// through the same machinery as rule obligations: thread-pool fan-out,
-  /// retry escalation, wall budgets, crash containment, trace spans, and —
-  /// when a set is marked cacheable — the verdict store. The translation
-  /// validator's per-pair simulation obligations enter the prover here.
-  /// All sets' obligations fan out together (one slow pair does not
-  /// serialize the pairs behind it); reports come back in input order.
+  /// Lowers \p O to its obligation set (§4.2 F1–F3; §4.3 B1–B5, with
+  /// I1/I2 in place of B4 for insertions), Cacheable, carrying the
+  /// analyses its guard assumes and every analysis as its label table.
+  /// \p Fingerprint is fingerprintOptimization(O), passed in so a caller
+  /// that holds it does not compute it twice. The set reads \p O by
+  /// reference: \p O must outlive the set's check.
+  ObligationSet lower(const Optimization &O, uint64_t Fingerprint) const;
+  /// Lowers \p A to F1/F2 over its label's witness (§2.4/§4.2). Its label
+  /// table leaves \p A itself out: an analysis may assume every other
+  /// analysis, never its own result.
+  ObligationSet lower(const PureAnalysis &A, uint64_t Fingerprint) const;
+
+  /// Discharges obligation sets (checker/Obligations.h): thread-pool
+  /// fan-out, retry escalation, wall budgets, crash containment, trace
+  /// spans, and — when a set is Cacheable — the verdict store. Lowered
+  /// rules and analyses and the translation validator's per-pair
+  /// simulation obligations all enter the prover here. All sets'
+  /// obligations fan out together (one slow set does not serialize the
+  /// sets behind it); reports come back in input order.
   std::vector<CheckReport>
   checkObligationSets(const std::vector<ObligationSet> &Sets);
 
@@ -273,23 +312,19 @@ public:
   uint64_t fingerprintAnalysis(const PureAnalysis &A) const;
 
 private:
-  struct ObligationTask; ///< One independent prover job (internal).
-  struct PreparedCheck;  ///< One definition's tasks + report skeleton.
+  struct PreparedCheck; ///< One set's claim and report under way.
 
-  /// Claims \p PC in the verdict store when caching covers it; true when
-  /// the store serves the report, so \p PC needs no proving.
-  bool claimVerdict(PreparedCheck &PC);
-
-  PreparedCheck prepareOptimization(const Optimization &O);
-  PreparedCheck prepareAnalysis(const PureAnalysis &A);
-  PreparedCheck prepareObligationSet(const ObligationSet &Set);
-  /// Proves the checks' tasks (discharge), settles this checker's leads,
-  /// then collects the reports it was served.
-  std::vector<CheckReport> runPrepared(std::vector<PreparedCheck> Checks);
+  /// Claims \p Set in the verdict store when it is Cacheable; unless the
+  /// store serves it, sizes the report for its obligations' results.
+  PreparedCheck prepare(const ObligationSet &Set);
+  /// Runs every obligation of the unserved checks.
   void discharge(std::vector<PreparedCheck> &Checks);
 
   const LabelRegistry &Registry;
   std::vector<PureAnalysis> Analyses;
+  /// Every analysis by label: the table of lowered optimizations and of
+  /// sets that bring none.
+  std::shared_ptr<const AnalysisTable> AllLabels;
   ProverPolicy Policy;
   support::ThreadPool *Pool = nullptr;
   /// Never null: a private memory-only store by default, or a shared one
@@ -305,8 +340,9 @@ std::string serializeCheckReport(const CheckReport &R);
 std::optional<CheckReport> deserializeCheckReport(const std::string &Text);
 
 /// Serialization of one obligation result — the worker pool's response
-/// frame format (exposed for the robustness tests). Tolerates no unknown
-/// fields: a frame that does not round-trip is treated as a worker crash.
+/// frame: the same obligation block as a disk entry's, plus its wall
+/// time. Tolerates no unknown fields and requires the status: a frame
+/// that does not round-trip is treated as a worker crash.
 std::string serializeObligationResult(const ObligationResult &R);
 std::optional<ObligationResult>
 deserializeObligationResult(const std::string &Text);

@@ -8,6 +8,7 @@
 
 #include "ir/Interp.h"
 #include "support/FaultInjection.h"
+#include "support/Fnv1a.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
@@ -170,17 +171,6 @@ std::optional<std::string> postPassSanityCheck(Program &Prog, Procedure &P,
   return Failure;
 }
 
-/// FNV-1a of the procedure name: the stable per-procedure job
-/// fingerprint keying fault-injection decisions (see ScopedFaultKey).
-uint64_t hashProcName(const std::string &Name) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (unsigned char C : Name) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 } // namespace
 
 //===----------------------------------------------------------------------===//
@@ -232,7 +222,7 @@ std::vector<PassReport> PassManager::runPasses(const std::vector<Pass> &ToRun,
     support::metricAdd("engine.procs");
     // Fault decisions inside this job are keyed on the procedure name,
     // so `--jobs 8` fires exactly the faults `--jobs 1` does.
-    support::ScopedFaultKey JobKey(hashProcName(P.Name));
+    support::ScopedFaultKey JobKey(support::fnv1a(P.Name));
     std::vector<PassReport> &Reports = Job.Reports;
     Labeling &Labels = Job.Labels;
     Labels.assign(P.size(), {});

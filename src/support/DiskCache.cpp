@@ -7,6 +7,7 @@
 #include "support/DiskCache.h"
 
 #include "support/FaultInjection.h"
+#include "support/Fnv1a.h"
 #include "support/Telemetry.h"
 
 #include <atomic>
@@ -24,18 +25,6 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// FNV-1a over the payload — cheap, and collisions only matter against
-/// *accidental* corruption (truncation, bit rot, torn concurrent writes),
-/// not an adversary.
-uint64_t fnv64(const std::string &S) {
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (unsigned char C : S) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
-}
-
 std::string hex16(uint64_t V) {
   char Buf[17];
   std::snprintf(Buf, sizeof(Buf), "%016llx",
@@ -43,11 +32,13 @@ std::string hex16(uint64_t V) {
   return Buf;
 }
 
-/// Entry layout: one header line `cc1 <fnv64-hex> <payload-bytes>\n`
+/// Entry layout: one header line `cc1 <fnv1a-hex> <payload-bytes>\n`
 /// followed by the raw payload. The header is what makes entries
-/// self-validating — see DiskCache::load.
+/// self-validating — see DiskCache::load. FNV-1a is enough: collisions
+/// only matter against *accidental* corruption (truncation, bit rot, torn
+/// concurrent writes), not an adversary.
 std::string encodeEntry(const std::string &Value) {
-  return "cc1 " + hex16(fnv64(Value)) + " " + std::to_string(Value.size()) +
+  return "cc1 " + hex16(fnv1a(Value)) + " " + std::to_string(Value.size()) +
          "\n" + Value;
 }
 
@@ -65,7 +56,7 @@ std::optional<std::string> decodeEntry(const std::string &Blob) {
   if (Blob.size() - (Nl + 1) != Size)
     return std::nullopt; // truncated (or padded) payload
   std::string Value = Blob.substr(Nl + 1);
-  if (hex16(fnv64(Value)) != SumHex)
+  if (hex16(fnv1a(Value)) != SumHex)
     return std::nullopt;
   return Value;
 }

@@ -6,6 +6,8 @@
 
 #include "support/FaultInjection.h"
 
+#include "support/Fnv1a.h"
+
 #include <cstdlib>
 
 using namespace cobalt;
@@ -20,16 +22,6 @@ uint64_t mix64(uint64_t X) {
   X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ull;
   X = (X ^ (X >> 27)) * 0x94d049bb133111ebull;
   return X ^ (X >> 31);
-}
-
-uint64_t hashSite(const std::string &Site) {
-  // FNV-1a; stable across runs and platforms.
-  uint64_t H = 0xcbf29ce484222325ull;
-  for (unsigned char C : Site) {
-    H ^= C;
-    H *= 0x100000001b3ull;
-  }
-  return H;
 }
 
 } // namespace
@@ -162,7 +154,7 @@ bool FaultInjector::shouldFire(const char *Site) {
   else if (R.Nth != 0)
     Fire = Hit == R.Nth;
   else if (R.Percent >= 0)
-    Fire = static_cast<int>(mix64(hashSite(Site) ^ KeyMix ^
+    Fire = static_cast<int>(mix64(fnv1a(Site) ^ KeyMix ^
                                   (LocalSeed * 0x9e3779b9ull) ^ Hit) %
                             100) < R.Percent;
   if (Fire) {

@@ -27,6 +27,7 @@
 
 #include "checker/Obligations.h"
 #include "ir/Printer.h"
+#include "support/Fnv1a.h"
 #include "support/Telemetry.h"
 #include "validate/Alpha.h"
 #include "validate/Facts.h"
@@ -63,20 +64,16 @@ const char *validate::verdictName(Verdict V) {
 
 namespace {
 
+/// Folds a string field into the fingerprint \p H, then a 0xff byte that
+/// ends the field.
 void hashStr(uint64_t &H, const std::string &S) {
-  for (char Ch : S) {
-    H ^= static_cast<unsigned char>(Ch);
-    H *= 1099511628211ull; // FNV-1a.
-  }
-  H ^= 0xff;
-  H *= 1099511628211ull;
+  H = support::fnv1a(0xff, support::fnv1a(S, H));
 }
 
+/// Folds the eight little-endian bytes of \p V into \p H.
 void hashInt(uint64_t &H, int64_t V) {
-  for (int I = 0; I < 8; ++I) {
-    H ^= static_cast<unsigned char>(V >> (8 * I));
-    H *= 1099511628211ull;
-  }
+  for (int I = 0; I < 8; ++I)
+    H = support::fnv1a(static_cast<unsigned char>(V >> (8 * I)), H);
 }
 
 void collectConsts(const ir::Program &Prog, std::set<int64_t> &Out) {
@@ -126,6 +123,8 @@ std::vector<int64_t> probeInputs(const ir::Program &A, const ir::Program &B,
 uint64_t validate::fingerprintPair(const ir::Program &Original,
                                    const ir::Program &Candidate,
                                    const ValidationOptions &Options) {
+  // The seed is not support::Fnv1aBasis (it lacks the basis' last decimal
+  // digit); pair fingerprints key persisted verdicts, so it stays.
   uint64_t H = 1469598103934665603ull;
   hashStr(H, "validate 1");
   hashStr(H, ir::toString(Original));

@@ -14,6 +14,7 @@
 
 #include "checker/Soundness.h"
 
+#include "checker/Obligations.h"
 #include "opts/Buggy.h"
 #include "opts/Labels.h"
 #include "opts/Optimizations.h"
@@ -102,17 +103,80 @@ TEST_F(SoundnessTest, AnalysisDependenciesAreReported) {
   EXPECT_TRUE(R2.AssumedAnalyses.empty());
 }
 
+std::vector<std::string> obligationNames(const CheckReport &R) {
+  std::vector<std::string> Names;
+  for (const ObligationResult &Ob : R.Obligations)
+    Names.push_back(Ob.Name);
+  return Names;
+}
+
 TEST_F(SoundnessTest, ObligationCountsMatchDirection) {
+  // Names and their order are part of the contract: they key the fault
+  // decisions and appear verbatim in reports and cache entries.
   SoundnessChecker SC(Registry, opts::allAnalyses());
   // Forward: F1/F2 split over 7 statement kinds + F3.
   CheckReport F = SC.checkOptimization(opts::constProp());
   EXPECT_EQ(F.Obligations.size(), 15u);
+  EXPECT_EQ(obligationNames(F),
+            (std::vector<std::string>{
+                "F1[decl]", "F1[skip]", "F1[assign]", "F1[new]",
+                "F1[call]", "F1[branch]", "F1[return]", "F2[decl]",
+                "F2[skip]", "F2[assign]", "F2[new]", "F2[call]",
+                "F2[branch]", "F2[return]", "F3"}));
   // Backward non-insertion: B1 + B2/B3 split + B4 + B5.
   CheckReport B = SC.checkOptimization(opts::deadAssignElim());
   EXPECT_EQ(B.Obligations.size(), 17u);
+  EXPECT_EQ(obligationNames(B),
+            (std::vector<std::string>{
+                "B1", "B2[decl]", "B2[skip]", "B2[assign]", "B2[new]",
+                "B2[call]", "B2[branch]", "B2[return]", "B3[decl]",
+                "B3[skip]", "B3[assign]", "B3[new]", "B3[call]",
+                "B3[branch]", "B3[return]", "B4", "B5"}));
   // Backward insertion: B4 replaced by I1/I2 (split).
   CheckReport I = SC.checkOptimization(opts::preDuplicate());
   EXPECT_EQ(I.Obligations.size(), 30u);
+  EXPECT_EQ(obligationNames(I),
+            (std::vector<std::string>{
+                "B1",        "B2[decl]",   "B2[skip]",   "B2[assign]",
+                "B2[new]",   "B2[call]",   "B2[branch]", "B2[return]",
+                "B3[decl]",  "B3[skip]",   "B3[assign]", "B3[new]",
+                "B3[call]",  "B3[branch]", "B3[return]", "I1[decl]",
+                "I1[skip]",  "I1[assign]", "I1[new]",    "I1[call]",
+                "I1[branch]", "I1[return]", "I2[decl]",  "I2[skip]",
+                "I2[assign]", "I2[new]",   "I2[call]",   "I2[branch]",
+                "I2[return]", "B5"}));
+  // Pure analysis: F1/F2 over its label's witness, no F3.
+  CheckReport A = SC.checkAnalysis(opts::taintAnalysis());
+  EXPECT_EQ(obligationNames(A),
+            (std::vector<std::string>{
+                "F1[decl]", "F1[skip]", "F1[assign]", "F1[new]",
+                "F1[call]", "F1[branch]", "F1[return]", "F2[decl]",
+                "F2[skip]", "F2[assign]", "F2[new]", "F2[call]",
+                "F2[branch]", "F2[return]"}));
+}
+
+TEST_F(SoundnessTest, AnalysisLabelTableLeavesTheAnalysisOut) {
+  // An analysis may assume every other analysis's label, never its own:
+  // offering notTainted's witness to taint_analysis's own F1/F2 would
+  // let it assume what it is proving.
+  SoundnessChecker SC(Registry, opts::allAnalyses());
+  PureAnalysis Taint = opts::taintAnalysis();
+  ObligationSet A = SC.lower(Taint, SC.fingerprintAnalysis(Taint));
+  ASSERT_TRUE(A.Labels);
+  EXPECT_EQ(A.Labels->count("notTainted"), 0u);
+  EXPECT_TRUE(A.AssumedAnalyses.empty());
+  EXPECT_EQ(A.Obligations.size(), 14u);
+
+  // An optimization is offered every analysis, and its set records the
+  // ones its guard relies on.
+  Optimization Precise = opts::constPropPrecise();
+  ObligationSet O = SC.lower(Precise, SC.fingerprintOptimization(Precise));
+  ASSERT_TRUE(O.Labels);
+  ASSERT_EQ(O.Labels->count("notTainted"), 1u);
+  EXPECT_EQ(O.Labels->at("notTainted")->Name, "taint_analysis");
+  EXPECT_EQ(O.AssumedAnalyses, std::vector<std::string>{"taint_analysis"});
+  EXPECT_TRUE(O.Cacheable);
+  EXPECT_EQ(O.Fingerprint, SC.fingerprintOptimization(Precise));
 }
 
 TEST_F(SoundnessTest, ReportStringMentionsVerdict) {

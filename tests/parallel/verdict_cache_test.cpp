@@ -99,6 +99,31 @@ TEST(VerdictCacheTest, SerializationRoundTripsLosslessly) {
   R.Obligations.push_back(Unknown);
 
   std::string Blob = serializeCheckReport(R);
+  // The disk tier's bytes: entries written by earlier builds must keep
+  // decoding, and equal verdicts must keep serializing to equal bytes.
+  EXPECT_EQ(Blob, "report 2\n"
+                  "name weird name\\nwith\\\\newline\n"
+                  "verdict unsound\n"
+                  "degradation prover_timeout\n"
+                  "assumed notTainted\n"
+                  "assumed other analysis\n"
+                  "obligation F1\n"
+                  " status proven\n"
+                  " errkind none\n"
+                  " attempts 1\n"
+                  " rlimit 123456789\n"
+                  "obligation B3/assign\n"
+                  " status failed\n"
+                  " errkind none\n"
+                  " attempts 2\n"
+                  " rlimit 0\n"
+                  " cex x = 7\\ny = -1\n"
+                  "obligation B4/branch\n"
+                  " status unknown\n"
+                  " errkind prover_timeout\n"
+                  " errmsg timeout after 3 attempts\n"
+                  " attempts 3\n"
+                  " rlimit 0\n");
   std::optional<CheckReport> Back = deserializeCheckReport(Blob);
   ASSERT_TRUE(Back.has_value());
 
@@ -116,6 +141,62 @@ TEST(VerdictCacheTest, SerializationRoundTripsLosslessly) {
   EXPECT_EQ(Back->Obligations[2].Err.Message, "timeout after 3 attempts");
   EXPECT_EQ(Back->Obligations[2].Attempts, 3u);
   EXPECT_EQ(Back->Obligations[0].RlimitSpent, 123456789u);
+}
+
+TEST(VerdictCacheTest, WorkerFrameRoundTripKeepsSeconds) {
+  // A prover worker's response frame carries the same obligation fields
+  // as a disk entry, plus the wall time the parent sums into the report.
+  ObligationResult R;
+  R.Name = "sim(0,1)#2->ret5";
+  R.St = ObligationResult::Status::OS_Unknown;
+  R.Err = support::Error(support::ErrorKind::EK_ProverResourceOut,
+                         "max. memory\nexceeded");
+  R.Seconds = 1.25;
+  R.Attempts = 3;
+  R.RlimitSpent = 987654321;
+
+  std::string Frame = serializeObligationResult(R);
+  std::optional<ObligationResult> Back = deserializeObligationResult(Frame);
+  ASSERT_TRUE(Back.has_value()) << Frame;
+  EXPECT_EQ(serializeObligationResult(*Back), Frame);
+  EXPECT_EQ(Back->Name, R.Name);
+  EXPECT_EQ(Back->St, ObligationResult::Status::OS_Unknown);
+  EXPECT_EQ(Back->Err.Kind, support::ErrorKind::EK_ProverResourceOut);
+  EXPECT_EQ(Back->Err.Message, "max. memory\nexceeded");
+  EXPECT_DOUBLE_EQ(Back->Seconds, 1.25);
+  EXPECT_EQ(Back->Attempts, 3u);
+  EXPECT_EQ(Back->RlimitSpent, 987654321u);
+  EXPECT_TRUE(Back->Counterexample.empty());
+
+  ObligationResult Failed;
+  Failed.Name = "F2[call]";
+  Failed.St = ObligationResult::Status::OS_Failed;
+  Failed.Seconds = 0.5;
+  Failed.Attempts = 1;
+  Failed.Counterexample = "x = 7; y = -1; ";
+  Back = deserializeObligationResult(serializeObligationResult(Failed));
+  ASSERT_TRUE(Back.has_value());
+  EXPECT_EQ(Back->St, ObligationResult::Status::OS_Failed);
+  EXPECT_DOUBLE_EQ(Back->Seconds, 0.5);
+  EXPECT_EQ(Back->Counterexample, Failed.Counterexample);
+
+  // The disk form of the same result drops the wall time.
+  CheckReport Rep;
+  Rep.Name = "d";
+  Rep.Obligations = {R, Failed};
+  std::optional<CheckReport> Disk =
+      deserializeCheckReport(serializeCheckReport(Rep));
+  ASSERT_TRUE(Disk.has_value());
+  EXPECT_EQ(Disk->Obligations[0].Seconds, 0.0);
+  EXPECT_EQ(Disk->Obligations[1].Counterexample, Failed.Counterexample);
+
+  // Frames tolerate no unknown fields and no missing status: such a
+  // response is a crash.
+  EXPECT_FALSE(deserializeObligationResult("").has_value());
+  EXPECT_FALSE(deserializeObligationResult(Frame + " bogus 1\n").has_value());
+  EXPECT_FALSE(
+      deserializeObligationResult("obresult 2\nobligation F1\n attempts 1\n")
+          .has_value());
 }
 
 TEST(VerdictCacheTest, MalformedBlobsAreRejectedNotMisread) {
