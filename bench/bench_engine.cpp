@@ -280,6 +280,8 @@ struct GateCase {
   double ReferenceSeconds = 0;
   double Speedup = 0;
   uint64_t Facts = 0;
+  unsigned Iterations = 0; ///< Engine node visits (RPO sweeps × nodes).
+  uint64_t Visits = 0;     ///< Reference worklist visits.
   bool Match = false;
 };
 
@@ -290,14 +292,14 @@ double secondsSince(std::chrono::steady_clock::time_point Start) {
 }
 
 int runGate(bool Quick) {
-  // Floors intentionally far below the measured speedups (see
-  // EXPERIMENTS.md, experiment E6-gate) so only a real regression —
-  // e.g. losing the RPO schedule or the ψ2 memo — trips them, not
+  // Floors intentionally below the measured speedups (see EXPERIMENTS.md,
+  // experiment E6-gate) so only a real regression — e.g. losing the RPO
+  // schedule, the ψ2 memo, or the interned bitset facts — trips them, not
   // machine-to-machine noise. The geomean carries the headline (the
   // smallest programs finish in milliseconds and are noise-dominated);
   // the min floor just demands the engine never lose to the naive
   // reference outright.
-  constexpr double GeomeanFloor = 3.0;
+  constexpr double GeomeanFloor = 10.0;
   constexpr double MinFloor = 1.0;
 
   std::vector<GateCase> Cases = {
@@ -342,6 +344,8 @@ int runGate(bool Quick) {
     C.ReferenceSeconds = secondsSince(T1);
 
     C.Match = Eng.AtNode == Ref.AtNode;
+    C.Iterations = Eng.Iterations;
+    C.Visits = Ref.Visits;
     for (const std::set<Substitution> &Facts : Eng.AtNode)
       C.Facts += Facts.size();
     C.Speedup = C.EngineSeconds > 0
@@ -352,9 +356,10 @@ int runGate(bool Quick) {
       MinSpeedup = C.Speedup;
     LogSum += std::log(std::max(C.Speedup, 1e-9));
     std::printf("  %-28s engine %8.4f s  reference %8.4f s  "
-                "speedup %6.1fx  facts %6llu  %s\n",
+                "speedup %6.1fx  facts %6llu  iters %5u  visits %6llu  %s\n",
                 C.Name, C.EngineSeconds, C.ReferenceSeconds, C.Speedup,
-                static_cast<unsigned long long>(C.Facts),
+                static_cast<unsigned long long>(C.Facts), C.Iterations,
+                static_cast<unsigned long long>(C.Visits),
                 C.Match ? "match" : "MISMATCH");
   }
 
@@ -374,9 +379,11 @@ int runGate(bool Quick) {
     std::snprintf(Buf, sizeof(Buf),
                   "    {\"name\": \"%s\", \"stmts\": %u, "
                   "\"engine_seconds\": %.6f, \"reference_seconds\": %.6f, "
-                  "\"speedup\": %.2f, \"facts\": %llu, \"match\": %s}%s\n",
+                  "\"speedup\": %.2f, \"facts\": %llu, "
+                  "\"iterations\": %u, \"visits\": %llu, \"match\": %s}%s\n",
                   C.Name, C.Stmts, C.EngineSeconds, C.ReferenceSeconds,
                   C.Speedup, static_cast<unsigned long long>(C.Facts),
+                  C.Iterations, static_cast<unsigned long long>(C.Visits),
                   C.Match ? "true" : "false",
                   I + 1 < Cases.size() ? "," : "");
     J += Buf;

@@ -8,6 +8,7 @@
 
 #include "ir/Printer.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace cobalt;
@@ -35,22 +36,30 @@ std::string Binding::str() const {
   return std::to_string(asIndex());
 }
 
+/// The first binding whose name is not less than \p Name.
+static auto lowerBound(const std::vector<std::pair<std::string, Binding>> &V,
+                       const std::string &Name) {
+  return std::lower_bound(
+      V.begin(), V.end(), Name,
+      [](const auto &Entry, const std::string &N) { return Entry.first < N; });
+}
+
 const Binding *Substitution::lookup(const std::string &Name) const {
-  auto It = Map.find(Name);
-  return It == Map.end() ? nullptr : &It->second;
+  auto It = lowerBound(Bindings, Name);
+  return It != Bindings.end() && It->first == Name ? &It->second : nullptr;
 }
 
 bool Substitution::bind(const std::string &Name, Binding B) {
   assert(!Name.empty() && "binding a wildcard");
-  auto It = Map.find(Name);
-  if (It != Map.end())
+  auto It = lowerBound(Bindings, Name);
+  if (It != Bindings.end() && It->first == Name)
     return It->second == B;
-  Map.emplace(Name, std::move(B));
+  Bindings.emplace(It, Name, std::move(B));
   return true;
 }
 
 bool Substitution::merge(const Substitution &Other) {
-  for (const auto &[Name, B] : Other.Map)
+  for (const auto &[Name, B] : Other.Bindings)
     if (!bind(Name, B))
       return false;
   return true;
@@ -59,7 +68,7 @@ bool Substitution::merge(const Substitution &Other) {
 std::string Substitution::str() const {
   std::string Out = "[";
   bool First = true;
-  for (const auto &[Name, B] : Map) {
+  for (const auto &[Name, B] : Bindings) {
     if (!First)
       Out += ", ";
     First = false;

@@ -11,6 +11,13 @@
 /// guard satisfaction, so they are small value types with a total order
 /// (for storage in ordered sets, which keeps fixed points deterministic).
 ///
+/// The bindings live in one vector sorted by name: iteration, ==, and <=>
+/// follow the same lexicographic (name, binding) order a
+/// std::map<std::string, Binding> would give, while copying θ — which
+/// matching and generative satisfaction do once per candidate — costs one
+/// allocation rather than one per binding. The engine's fact ids are
+/// ranks in this order (engine/Dataflow.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COBALT_CORE_SUBSTITUTION_H
@@ -19,10 +26,11 @@
 #include "ir/Ast.h"
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <variant>
+#include <vector>
 
 namespace cobalt {
 
@@ -106,22 +114,24 @@ public:
   /// Merges another substitution into this one; fails on conflicts.
   bool merge(const Substitution &Other);
 
-  size_t size() const { return Map.size(); }
-  bool empty() const { return Map.empty(); }
+  size_t size() const { return Bindings.size(); }
+  bool empty() const { return Bindings.empty(); }
 
-  auto begin() const { return Map.begin(); }
-  auto end() const { return Map.end(); }
+  /// Iterates (name, binding) pairs in name order.
+  auto begin() const { return Bindings.begin(); }
+  auto end() const { return Bindings.end(); }
 
   /// Renders as "[X -> a, C -> 2]" (paper §5.2 notation).
   std::string str() const;
 
   friend bool operator==(const Substitution &, const Substitution &) = default;
   friend auto operator<=>(const Substitution &A, const Substitution &B) {
-    return A.Map <=> B.Map;
+    return A.Bindings <=> B.Bindings;
   }
 
 private:
-  std::map<std::string, Binding> Map;
+  /// Sorted by name, names unique.
+  std::vector<std::pair<std::string, Binding>> Bindings;
 };
 
 } // namespace cobalt

@@ -9,7 +9,10 @@
 #include "support/Telemetry.h"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <cstdint>
+#include <string_view>
+#include <unordered_map>
 
 using namespace cobalt;
 using namespace cobalt::engine;
@@ -58,6 +61,31 @@ struct DirectedView {
   }
 };
 
+/// Structural hash of a substitution, consistent with its ==: Exprs
+/// bindings hash their canonical rendering.
+struct SubstitutionHash {
+  size_t operator()(const Substitution &S) const {
+    size_t H = S.size();
+    auto mix = [&H](size_t V) {
+      H ^= V + 0x9e3779b97f4a7c15ull + (H << 6) + (H >> 2);
+    };
+    std::hash<std::string_view> Str;
+    for (const auto &[Name, B] : S) {
+      mix(Str(Name));
+      mix(B.V.index());
+      if (B.isConst())
+        mix(static_cast<size_t>(B.asConst()));
+      else if (B.isIndex())
+        mix(static_cast<size_t>(B.asIndex()));
+      else if (B.isExpr())
+        mix(Str(std::get<Binding::ExprB>(B.V).Key));
+      else
+        mix(Str(B.isVar() ? B.asVar() : B.asProc()));
+    }
+    return H;
+  }
+};
+
 } // namespace
 
 GuardSolution engine::solveGuard(Direction Dir, const Guard &Gd,
@@ -75,49 +103,108 @@ GuardSolution engine::solveGuard(Direction Dir, const Guard &Gd,
   };
 
   // GEN(n): substitutions making ψ1 true at n. U = ∪ GEN is the finite
-  // universe of facts; OUT is initialized to U (optimistic greatest fixed
+  // universe of facts. Each fact is interned once, by hash (a
+  // node-independent ψ1 generates all of U at every node), and its id is
+  // its rank in Substitution order, so walking set bits upward visits
+  // facts in std::set order.
+  std::unordered_map<Substitution, size_t, SubstitutionHash> Interned;
+  std::vector<std::pair<int, const size_t *>> GenSites; // (node, &id)
+  for (int I = 0; I < N; ++I)
+    if (Live[I])
+      for (Substitution &S : satisfyFormula(*Gd.Psi1, makeCtx(I), {}))
+        GenSites.emplace_back(I, &Interned.try_emplace(std::move(S))
+                                      .first->second);
+  std::vector<std::pair<const Substitution, size_t> *> ByRank;
+  for (auto &Entry : Interned)
+    ByRank.push_back(&Entry);
+  std::sort(ByRank.begin(), ByRank.end(),
+            [](const auto *A, const auto *B) { return A->first < B->first; });
+  std::vector<const Substitution *> Facts(ByRank.size()); // by id
+  for (size_t Id = 0; Id < ByRank.size(); ++Id) {
+    ByRank[Id]->second = Id;
+    Facts[Id] = &ByRank[Id]->first;
+  }
+
+  // Facts are uint64_t bitsets over U: W words per node, rows stored
+  // flat, one fact per bit.
+  const size_t W = (Facts.size() + 63) / 64;
+  auto row = [W](std::vector<uint64_t> &Bits, int I) {
+    return Bits.data() + I * W;
+  };
+  auto setBit = [](uint64_t *Row, size_t F) {
+    Row[F / 64] |= uint64_t(1) << (F % 64);
+  };
+  std::vector<uint64_t> Gen(N * W);
+  for (auto [I, Id] : GenSites)
+    setBit(row(Gen, I), *Id);
+
+  // ψ2 filter, memoized per (node, projection of θ onto ψ2's free
+  // variables): facts differing only in variables ψ2 does not mention
+  // share one evaluation. Facts are grouped by projection; deciding one
+  // fact at a node records the verdict for its whole group in the node's
+  // Decided/Holds masks, so later sweeps filter IN with word-wise ANDs
+  // and evaluate nothing.
+  std::vector<std::pair<std::string, MetaKind>> Psi2Frees;
+  collectFreeMetas(*Gd.Psi2, Psi2Frees);
+  std::unordered_map<Substitution, std::vector<size_t>, SubstitutionHash>
+      ByProjection;
+  std::vector<const std::vector<size_t> *> SameProjection(Facts.size());
+  for (size_t F = 0; F < Facts.size(); ++F) {
+    Substitution Proj;
+    for (const auto &Free : Psi2Frees)
+      if (const Binding *B = Facts[F]->lookup(Free.first))
+        Proj.bind(Free.first, *B);
+    std::vector<size_t> &Members = ByProjection[std::move(Proj)];
+    Members.push_back(F);
+    SameProjection[F] = &Members;
+  }
+  std::vector<uint64_t> Decided(N * W), Holds(N * W);
+  auto decidePsi2 = [&](int I, size_t F) {
+    auto R = evalFormula(*Gd.Psi2, makeCtx(I), *Facts[F]);
+    bool Ok = R.has_value() && *R; // undeterminable => conservatively drop
+    for (size_t Same : *SameProjection[F]) {
+      setBit(row(Decided, I), Same);
+      if (Ok)
+        setBit(row(Holds, I), Same);
+    }
+  };
+
+  // OUT is initialized to U at live nodes (optimistic greatest fixed
   // point for the ∩ meet).
-  std::vector<std::set<Substitution>> Gen(N);
-  std::set<Substitution> U;
+  std::vector<uint64_t> Out(N * W);
   for (int I = 0; I < N; ++I) {
     if (!Live[I])
       continue;
-    for (Substitution &S : satisfyFormula(*Gd.Psi1, makeCtx(I), {})) {
-      U.insert(S);
-      Gen[I].insert(std::move(S));
-    }
+    uint64_t *OutI = row(Out, I);
+    std::fill_n(OutI, W, ~uint64_t(0));
+    if (Facts.size() % 64)
+      OutI[W - 1] = (uint64_t(1) << (Facts.size() % 64)) - 1;
   }
 
-  // ψ2 filter, memoized per (node, θ restricted to ψ2's free variables):
-  // facts differing only in variables ψ2 does not mention share one
-  // evaluation, which collapses the per-iteration cost from
-  // O(nodes × facts) formula walks to O(nodes × distinct projections).
-  std::vector<std::pair<std::string, MetaKind>> Psi2Frees;
-  collectFreeMetas(*Gd.Psi2, Psi2Frees);
-  std::vector<std::map<std::string, bool>> Psi2Cache(N);
-  auto survivesPsi2 = [&](int I, const Substitution &Theta) {
-    std::string Key;
-    for (const auto &[Name, Kind] : Psi2Frees) {
-      (void)Kind;
-      const Binding *B = Theta.lookup(Name);
-      Key += B ? B->str() : "?";
-      Key += '\x1f';
+  // IN = ∩ over flow-predecessors' OUT, word by word; roots have IN = ∅.
+  // Returns |OUT| of the first live flow-predecessor (0 at a root), the
+  // base of the meet_dropped counter. A live non-root node always has
+  // one (it was reached from a root).
+  std::vector<uint64_t> In(W);
+  auto meet = [&](int I) {
+    std::fill(In.begin(), In.end(), 0);
+    uint64_t FirstSize = 0;
+    if (View.isRoot(I))
+      return FirstSize;
+    bool First = true;
+    for (int Pd : View.flowPreds(I)) {
+      if (!Live[Pd])
+        continue; // no constraining path through a dead node
+      const uint64_t *OutPd = row(Out, Pd);
+      if (First)
+        for (size_t K = 0; K < W; ++K)
+          FirstSize += std::popcount(OutPd[K]);
+      for (size_t K = 0; K < W; ++K)
+        In[K] = First ? OutPd[K] : In[K] & OutPd[K];
+      First = false;
     }
-    auto It = Psi2Cache[I].find(Key);
-    if (It != Psi2Cache[I].end())
-      return It->second;
-    auto R = evalFormula(*Gd.Psi2, makeCtx(I), Theta);
-    bool Ok = R.has_value() && *R; // undeterminable => conservatively drop
-    Psi2Cache[I].emplace(std::move(Key), Ok);
-    return Ok;
+    return FirstSize;
   };
-
-  GuardSolution Sol;
-  Sol.AtNode.assign(N, {});
-  std::vector<std::set<Substitution>> Out(N);
-  for (int I = 0; I < N; ++I)
-    if (Live[I])
-      Out[I] = U;
 
   // Evaluation order: reverse post-order over the flow direction.
   // Round-robin sweeps in RPO converge in O(loop-nesting-depth) passes
@@ -161,53 +248,47 @@ GuardSolution engine::solveGuard(Direction Dir, const Guard &Gd,
   uint64_t MeetDropped = 0;
   uint64_t Psi2Dropped = 0;
 
+  GuardSolution Sol;
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (int I : Rpo) {
       ++Sol.Iterations;
+      uint64_t FirstSize = meet(I);
 
-      // IN = ∩ over flow-predecessors' OUT; roots have IN = ∅.
-      std::set<Substitution> In;
-      if (!View.isRoot(I)) {
-        bool First = true;
-        size_t InitialIn = 0;
-        for (int Pd : View.flowPreds(I)) {
-          if (!Live[Pd])
-            continue; // no constraining path through a dead node
-          if (First) {
-            In = Out[Pd];
-            InitialIn = In.size();
-            First = false;
-          } else {
-            std::set<Substitution> Tmp;
-            std::set_intersection(In.begin(), In.end(), Out[Pd].begin(),
-                                  Out[Pd].end(),
-                                  std::inserter(Tmp, Tmp.begin()));
-            In = std::move(Tmp);
-          }
-          if (In.empty())
-            break;
-        }
-        // A live non-root node always has at least one live flow-pred
-        // (it was reached from a root), so First is false here.
-        MeetDropped += InitialIn - In.size();
+      const uint64_t *GenI = row(Gen, I);
+      const uint64_t *DecidedI = row(Decided, I);
+      const uint64_t *HoldsI = row(Holds, I);
+      uint64_t *OutI = row(Out, I);
+      for (size_t K = 0; K < W; ++K)
+        while (uint64_t Fresh = In[K] & ~DecidedI[K])
+          decidePsi2(I, K * 64 + std::countr_zero(Fresh));
+
+      // OUT = {θ ∈ IN : ψ2 holds} ∪ GEN, with the change test on the
+      // same pass.
+      uint64_t InSize = 0;
+      for (size_t K = 0; K < W; ++K) {
+        uint64_t Kept = In[K] & HoldsI[K];
+        InSize += std::popcount(In[K]);
+        Psi2Dropped += std::popcount(In[K] & ~Kept);
+        uint64_t NewOut = GenI[K] | Kept;
+        Changed |= NewOut != OutI[K];
+        OutI[K] = NewOut;
       }
-      Sol.AtNode[I] = In;
-
-      // OUT = {θ ∈ IN : ψ2 holds} ∪ GEN.
-      std::set<Substitution> NewOut = Gen[I];
-      for (const Substitution &Theta : In)
-        if (survivesPsi2(I, Theta))
-          NewOut.insert(Theta);
-        else
-          ++Psi2Dropped;
-
-      if (NewOut != Out[I]) {
-        Out[I] = std::move(NewOut);
-        Changed = true;
-      }
+      MeetDropped += FirstSize - InSize;
     }
+  }
+
+  // The matching point of a node is its IN at the fixed point; every OUT
+  // is final, so one more meet per node recomputes it. Facts come out in
+  // id order, which is std::set order.
+  Sol.AtNode.assign(N, {});
+  for (int I : Rpo) {
+    meet(I);
+    std::set<Substitution> &At = Sol.AtNode[I];
+    for (size_t K = 0; K < W; ++K)
+      for (uint64_t Bits = In[K]; Bits; Bits &= Bits - 1)
+        At.emplace_hint(At.end(), *Facts[K * 64 + std::countr_zero(Bits)]);
   }
 
   if (support::Telemetry *T = support::Telemetry::active()) {

@@ -25,6 +25,14 @@
 /// with (ι, θ) ∈ [[ψ1 followed by ψ2]](p) — evaluating all "instances" of
 /// the guard simultaneously, exactly as §5.2 describes.
 ///
+/// The universe U = ∪ GEN is known before the fixpoint starts, so each
+/// substitution is interned once per solve into a dense id: its rank in
+/// Substitution order. GEN, IN, OUT and the matching points are uint64_t
+/// bitsets over U — the meet is a word-wise AND and the change test a
+/// word compare — and ψ2 is decided once per (node, projection of θ onto
+/// ψ2's free variables), its verdicts kept as per-node masks over U. The
+/// std::set result is built once, after the fixed point, in id order.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef COBALT_ENGINE_DATAFLOW_H
@@ -44,6 +52,8 @@ namespace engine {
 /// *matching point* of each node (the IN fact in guard direction).
 /// Unreachable nodes (forward: from the entry; backward: to any exit)
 /// have empty sets — the engine conservatively never transforms them.
+/// The solver works on interned fact ids and fills AtNode once, from the
+/// fixed point's IN bitsets, so the sets share no storage with it.
 struct GuardSolution {
   std::vector<std::set<Substitution>> AtNode;
 

@@ -10,7 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <compare>
 #include <set>
+#include <string>
+#include <vector>
 
 using namespace cobalt;
 using namespace cobalt::ir;
@@ -79,6 +82,76 @@ TEST(SubstitutionTest, StrRendersPaperNotation) {
   Theta.bind("Y", Binding::var("a"));
   Theta.bind("C", Binding::constant(2));
   EXPECT_EQ(Theta.str(), "[C -> 2, Y -> a]");
+}
+
+/// Bindings are kept in name order whatever order they were made in; the
+/// engine's fact ids are ranks in the resulting <=> order, so these pin
+/// that order down.
+TEST(SubstitutionTest, BindOrderDoesNotMatter) {
+  Substitution A, B;
+  A.bind("Z", Binding::var("b"));
+  A.bind("A", Binding::var("a"));
+  A.bind("M", Binding::constant(3));
+  B.bind("M", Binding::constant(3));
+  B.bind("Z", Binding::var("b"));
+  B.bind("A", Binding::var("a"));
+  EXPECT_EQ(A, B);
+  EXPECT_EQ(A <=> B, std::strong_ordering::equal);
+  EXPECT_EQ(A.str(), "[A -> a, M -> 3, Z -> b]");
+  EXPECT_EQ(A.str(), B.str());
+
+  std::vector<std::string> Names;
+  for (const auto &[Name, Value] : B) {
+    (void)Value;
+    Names.push_back(Name);
+  }
+  EXPECT_EQ(Names, (std::vector<std::string>{"A", "M", "Z"}));
+}
+
+TEST(SubstitutionTest, OrderIsLexicographicOverNameThenBinding) {
+  Substitution AZ, AM, A;
+  AZ.bind("A", Binding::var("a"));
+  AZ.bind("Z", Binding::var("b"));
+  AM.bind("A", Binding::var("a"));
+  AM.bind("M", Binding::var("c"));
+  A.bind("A", Binding::var("a"));
+  // {A->a, Z->b} vs {A->a, M->c}: first bindings tie, then "Z" > "M"
+  // decides before the bound values are looked at.
+  EXPECT_GT(AZ, AM);
+  // A proper prefix sorts first.
+  EXPECT_LT(A, AM);
+  EXPECT_LT(A, AZ);
+
+  // Same names: the binding decides (kind first, then value).
+  Substitution Ab, Ac, A1;
+  Ab.bind("A", Binding::var("b"));
+  Ac.bind("A", Binding::var("c"));
+  A1.bind("A", Binding::constant(1));
+  EXPECT_LT(Ab, Ac);
+  EXPECT_LT(Ac, A1); // var bindings sort before const bindings
+
+  std::set<Substitution> Sorted{AZ, Ac, AM, A, Ab, A1};
+  std::vector<std::string> Rendered;
+  for (const Substitution &S : Sorted)
+    Rendered.push_back(S.str());
+  EXPECT_EQ(Rendered, (std::vector<std::string>{
+                          "[A -> a]", "[A -> a, M -> c]", "[A -> a, Z -> b]",
+                          "[A -> b]", "[A -> c]", "[A -> 1]"}));
+}
+
+TEST(SubstitutionTest, LookupBetweenBoundNamesIsNull) {
+  Substitution Theta;
+  Theta.bind("B", Binding::var("b"));
+  Theta.bind("D", Binding::var("d"));
+  Theta.bind("F", Binding::var("f"));
+  EXPECT_EQ(Theta.lookup("A"), nullptr); // before the first
+  EXPECT_EQ(Theta.lookup("C"), nullptr);
+  EXPECT_EQ(Theta.lookup("E"), nullptr);
+  EXPECT_EQ(Theta.lookup("G"), nullptr); // after the last
+  EXPECT_EQ(Theta.lookup("Dx"), nullptr);
+  ASSERT_NE(Theta.lookup("D"), nullptr);
+  EXPECT_EQ(Theta.lookup("D")->asVar(), "d");
+  EXPECT_FALSE(Theta.isBound("C"));
 }
 
 TEST(SubstitutionTest, BindingKindsAreDistinct) {

@@ -7,9 +7,11 @@
 #include "engine/Dataflow.h"
 
 #include "core/Builder.h"
+#include "ir/Generator.h"
 #include "ir/Parser.h"
 #include "opts/Labels.h"
 #include "opts/Optimizations.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -214,6 +216,55 @@ TEST_F(DataflowTest, UnreachableNodesGetNoFacts) {
   )",
                             Gd, Direction::D_Forward);
   EXPECT_TRUE(Sol.AtNode[3].empty()); // unreachable x := a
+}
+
+/// The solve-shape counters of one guard solve, read from a telemetry
+/// session of its own, plus Σ|AtNode|.
+struct SolveShape {
+  uint64_t Iters, MeetDropped, Psi2Dropped, Facts;
+};
+
+SolveShape solveShape(Direction Dir, const Guard &Gd, const Cfg &G,
+                      const LabelRegistry &Registry) {
+  support::Telemetry T;
+  support::TelemetryScope Scope(&T);
+  GuardSolution Sol = solveGuard(Dir, Gd, G, Registry, nullptr);
+  SolveShape Shape{T.Metrics.counter("dataflow.fixpoint_iters"),
+                   T.Metrics.counter("dataflow.meet_dropped"),
+                   T.Metrics.counter("dataflow.psi2_dropped"), 0};
+  for (const std::set<Substitution> &At : Sol.AtNode)
+    Shape.Facts += At.size();
+  EXPECT_EQ(Shape.Iters, Sol.Iterations);
+  return Shape;
+}
+
+/// Pins how the fixpoint unfolds on a fixed generated body with pointers,
+/// loops and branches, in both directions: the sweep count, the facts the
+/// ∩ meet and the ψ2 filter drop, and the facts at the matching points.
+/// Any change to the solver's representation must leave all of them
+/// exactly as they are.
+TEST_F(DataflowTest, SolveShapeCountersArePinned) {
+  GenOptions Options;
+  Options.NumStmts = 25;
+  Options.WithPointers = true;
+  Prog = generateProgram(Options, /*Seed=*/12);
+  const Procedure &Main = *Prog.findProc("main");
+  ASSERT_EQ(Main.size(), 106);
+  G.emplace(Main);
+
+  SolveShape Fwd = solveShape(Direction::D_Forward, opts::constProp().Pat.G,
+                              *G, Registry);
+  EXPECT_EQ(Fwd.Iters, 318u); // three sweeps
+  EXPECT_EQ(Fwd.MeetDropped, 9u);
+  EXPECT_EQ(Fwd.Psi2Dropped, 12u);
+  EXPECT_EQ(Fwd.Facts, 11u);
+
+  SolveShape Bwd = solveShape(Direction::D_Backward,
+                              opts::deadAssignElim().Pat.G, *G, Registry);
+  EXPECT_EQ(Bwd.Iters, 212u); // two sweeps
+  EXPECT_EQ(Bwd.MeetDropped, 88u);
+  EXPECT_EQ(Bwd.Psi2Dropped, 62u);
+  EXPECT_EQ(Bwd.Facts, 317u);
 }
 
 TEST_F(DataflowTest, FixpointIterationCountReported) {
