@@ -64,7 +64,7 @@ LabelRegistry makeRegistry() {
 double runSuiteOnce(support::Telemetry *Telem) {
   LabelRegistry Registry = makeRegistry();
   SoundnessChecker SC(Registry, opts::allAnalyses());
-  SC.setTimeoutMs(60000);
+  SC.setPolicy({.TimeoutMs = 60000});
   support::TelemetryScope Scope(Telem);
   auto Start = std::chrono::steady_clock::now();
   for (const PureAnalysis &A : opts::allAnalyses())
@@ -94,7 +94,7 @@ int main() {
   LabelRegistry Registry = makeRegistry();
 
   SoundnessChecker SC(Registry, opts::allAnalyses());
-  SC.setTimeoutMs(60000);
+  SC.setPolicy({.TimeoutMs = 60000});
 
   std::printf("E1: automatic soundness proofs (paper 5.1: Simplify took "
               "3-104 s, avg 28 s, on 2003 hardware)\n");

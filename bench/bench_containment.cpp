@@ -17,7 +17,7 @@
 ///
 ///  2. **Recovery latency** — with a deterministic crash storm injected
 ///     into the workers, how long a replacement fork takes (the
-///     worker.respawn_ms histogram: lease wait + fork + bookkeeping,
+///     worker.respawn_ms histogram: fork + bookkeeping in the lane,
 ///     backoff excluded) and what the storm does to suite wall time.
 ///     Gate: mean respawn under 250 ms — crash recovery must be
 ///     milliseconds, not another prover query.

@@ -33,7 +33,7 @@ int main() {
       Registry.define(Def);
 
   SoundnessChecker SC(Registry, opts::allAnalyses());
-  SC.setTimeoutMs(4000);
+  SC.setPolicy({.TimeoutMs = 4000});
 
   std::printf("E2: buggy variants rejected, with the failing obligation "
               "localizing the bug (paper 6)\n");
@@ -65,7 +65,7 @@ int main() {
     for (const LabelDef &Def : Case.Analysis.Labels)
       Registry.define(Def);
     SoundnessChecker SC2(Registry);
-    SC2.setTimeoutMs(4000);
+    SC2.setPolicy({.TimeoutMs = 4000});
     CheckReport R = SC2.checkAnalysis(Case.Analysis);
     std::string FailAt = "-";
     for (const ObligationResult &Ob : R.Obligations)

@@ -21,6 +21,11 @@
 /// machine's core count. The cache series runs with no stall and real
 /// solver calls.
 ///
+/// ## Real latency
+/// A second, ungated series checks the same suite at --jobs 1 and 4 with
+/// no stall, so the table also shows what the lanes buy on real Z3
+/// queries on the machine at hand (core count and load bound it).
+///
 /// Emits BENCH_parallel.json next to the human-readable table and exits
 /// nonzero if either headline gate fails (>=2x at --jobs 4; warm rerun
 /// < 25% of cold).
@@ -69,10 +74,11 @@ struct SuiteRun {
   double Seconds = 0.0;
 };
 
-/// Checks the full definition suite at the given width with the stalled
-/// prover. Each run builds a fresh checker, whose verdict store starts
-/// empty, so every run pays for every obligation.
-SuiteRun runSuiteAt(unsigned Jobs) {
+/// Checks the full definition suite at the given width, with each prover
+/// attempt stalled by \p Stall ms (0 = real latency only). Each run
+/// builds a fresh checker, whose verdict store starts empty, so every run
+/// pays for every obligation.
+SuiteRun runSuiteAt(unsigned Jobs, int Stall) {
   LabelRegistry Registry = makeRegistry();
   SoundnessChecker SC(Registry, opts::allAnalyses());
   ProverPolicy Policy;
@@ -80,9 +86,10 @@ SuiteRun runSuiteAt(unsigned Jobs) {
   support::ThreadPool Pool(Jobs);
   SC.setThreadPool(&Pool);
 
-  support::FaultInjector::instance().configure(
-      std::string(support::faults::CheckerProverStallMs) + "=" +
-      std::to_string(StallMs));
+  if (Stall > 0)
+    support::FaultInjector::instance().configure(
+        std::string(support::faults::CheckerProverStallMs) + "=" +
+        std::to_string(Stall));
 
   SuiteRun Run;
   Run.Jobs = Jobs;
@@ -99,6 +106,30 @@ SuiteRun runSuiteAt(unsigned Jobs) {
       ++Run.Proven;
   }
   return Run;
+}
+
+/// Prints one series as table rows, speedups relative to its first row.
+void printSeries(const std::vector<SuiteRun> &Runs) {
+  double Base = Runs.front().Seconds;
+  for (const SuiteRun &R : Runs)
+    std::printf("%6u %12u %12u %8u %10.3f %8.2fx\n", R.Jobs, R.Definitions,
+                R.Obligations, R.Proven, R.Seconds,
+                R.Seconds > 0 ? Base / R.Seconds : 0.0);
+}
+
+/// Writes one series as a JSON array body, speedups as in printSeries.
+void writeSeries(std::FILE *Json, const std::vector<SuiteRun> &Runs) {
+  double Base = Runs.front().Seconds;
+  for (size_t I = 0; I < Runs.size(); ++I) {
+    const SuiteRun &R = Runs[I];
+    std::fprintf(Json,
+                 "    {\"jobs\": %u, \"definitions\": %u, "
+                 "\"obligations\": %u, \"proven\": %u, "
+                 "\"wall_seconds\": %.3f, \"speedup\": %.2f}%s\n",
+                 R.Jobs, R.Definitions, R.Obligations, R.Proven, R.Seconds,
+                 R.Seconds > 0 ? Base / R.Seconds : 0.0,
+                 I + 1 < Runs.size() ? "," : "");
+  }
 }
 
 struct CacheRun {
@@ -161,17 +192,18 @@ int main() {
 
   std::vector<SuiteRun> Runs;
   for (unsigned Jobs : {1u, 2u, 4u, 8u})
-    Runs.push_back(runSuiteAt(Jobs));
-
-  double Base = Runs.front().Seconds;
+    Runs.push_back(runSuiteAt(Jobs, StallMs));
+  printSeries(Runs);
   double SpeedupAt4 = 0.0;
-  for (const SuiteRun &R : Runs) {
-    double Speedup = R.Seconds > 0 ? Base / R.Seconds : 0.0;
-    if (R.Jobs == 4)
-      SpeedupAt4 = Speedup;
-    std::printf("%6u %12u %12u %8u %10.3f %8.2fx\n", R.Jobs, R.Definitions,
-                R.Obligations, R.Proven, R.Seconds, Speedup);
-  }
+  for (const SuiteRun &R : Runs)
+    if (R.Jobs == 4 && R.Seconds > 0)
+      SpeedupAt4 = Runs.front().Seconds / R.Seconds;
+
+  std::printf("real latency (no stall, not gated):\n");
+  std::vector<SuiteRun> RealRuns;
+  for (unsigned Jobs : {1u, 4u})
+    RealRuns.push_back(runSuiteAt(Jobs, 0));
+  printSeries(RealRuns);
 
   CacheRun Cache = runCacheSeries();
   double WarmRatio =
@@ -196,16 +228,9 @@ int main() {
                  "{\n  \"benchmark\": \"parallel\",\n"
                  "  \"stall_ms\": %d,\n  \"series\": [\n",
                  StallMs);
-    for (size_t I = 0; I < Runs.size(); ++I) {
-      const SuiteRun &R = Runs[I];
-      std::fprintf(Json,
-                   "    {\"jobs\": %u, \"definitions\": %u, "
-                   "\"obligations\": %u, \"proven\": %u, "
-                   "\"wall_seconds\": %.3f, \"speedup\": %.2f}%s\n",
-                   R.Jobs, R.Definitions, R.Obligations, R.Proven,
-                   R.Seconds, R.Seconds > 0 ? Base / R.Seconds : 0.0,
-                   I + 1 < Runs.size() ? "," : "");
-    }
+    writeSeries(Json, Runs);
+    std::fprintf(Json, "  ],\n  \"real_series\": [\n");
+    writeSeries(Json, RealRuns);
     std::fprintf(Json,
                  "  ],\n  \"cache\": {\"cold_seconds\": %.3f, "
                  "\"warm_seconds\": %.3f, \"warm_ratio\": %.3f, "

@@ -97,10 +97,11 @@ namespace api {
 struct CobaltConfig {
   checker::ProverPolicy Prover; ///< Obligation resource policy.
   engine::TxPolicy Tx;          ///< Transactional pass policy.
-  /// Thread-pool width shared by the checker (obligations) and the pass
-  /// manager (procedures). 1 = sequential (no worker threads at all);
-  /// 0 = one worker per hardware thread. Results are bit-identical for
-  /// every value.
+  /// Thread-pool lanes shared by the checker (obligations) and the pass
+  /// manager (procedures): at most Jobs jobs in flight, the calling
+  /// thread included. 1 = sequential (no worker threads at all); 0 = one
+  /// lane per hardware thread. Results are bit-identical for every
+  /// value.
   unsigned Jobs = 1;
   /// When nonempty, proved verdicts persist here across processes
   /// (the verdict store's disk tier, support::DiskCache). Unusable

@@ -118,13 +118,15 @@ struct ObligationBuilder {
           .count();
     };
 
-    // Escalating timeout schedule; the last attempt gets the full budget.
+    // Escalating timeout schedule: each retry multiplies the timeout by
+    // EscalationFactor; the last attempt gets the full budget.
+    constexpr unsigned EscalationFactor = 5;
     std::vector<unsigned> Schedule;
     uint64_t T = std::max(1u, std::min(Policy.InitialTimeoutMs,
                                        Policy.TimeoutMs));
     for (unsigned I = 0; I < Policy.Retries; ++I) {
       Schedule.push_back(static_cast<unsigned>(T));
-      T *= std::max(2u, Policy.EscalationFactor);
+      T *= EscalationFactor;
       if (T >= Policy.TimeoutMs)
         break;
     }
@@ -206,8 +208,6 @@ private:
     P.set("timeout", TimeoutMs);
     if (Policy.RLimit != 0)
       P.set("rlimit", static_cast<unsigned>(Policy.RLimit));
-    if (Policy.MaxMemoryMb != 0)
-      P.set("max_memory", static_cast<unsigned>(Policy.MaxMemoryMb));
     S.set(P);
     for (const z3::expr &H : Hyps)
       S.add(H);

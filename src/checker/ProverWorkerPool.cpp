@@ -52,9 +52,7 @@ std::string describeExit(int WaitStatus) {
 } // namespace
 
 ProverWorkerPool::ProverWorkerPool(const Config &C, JobRunner Run)
-    : C(C), Run(std::move(Run)) {
-  this->C.Workers = std::max(1u, C.Workers);
-}
+    : C(C), Run(std::move(Run)), Lanes(std::max(1u, C.Workers)) {}
 
 ProverWorkerPool::~ProverWorkerPool() { stop(); }
 
@@ -147,7 +145,6 @@ ProverWorkerPool::WorkerPtr ProverWorkerPool::spawnOne() {
   {
     std::lock_guard<std::mutex> Lock(M);
     AllFds.push_back(W->socketFd());
-    ++S.Spawns;
   }
   support::metricAdd("worker.spawns");
   support::flightNote("worker.spawn",
@@ -156,80 +153,15 @@ ProverWorkerPool::WorkerPtr ProverWorkerPool::spawnOne() {
 }
 
 bool ProverWorkerPool::start() {
-  for (unsigned I = 0; I < C.Workers; ++I) {
-    WorkerPtr W = spawnOne();
-    if (!W)
-      break;
-    std::lock_guard<std::mutex> Lock(M);
-    Free.push_back(std::move(W));
-    ++Live;
-  }
-  std::lock_guard<std::mutex> Lock(M);
-  return Live > 0;
+  for (WorkerPtr &W : Lanes)
+    W = spawnOne();
+  return std::any_of(Lanes.begin(), Lanes.end(),
+                     [](const WorkerPtr &W) { return W != nullptr; });
 }
 
 void ProverWorkerPool::stop() {
-  std::vector<WorkerPtr> Doomed;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    Stopped = true;
-    Doomed.swap(Free);
-    Live -= static_cast<unsigned>(Doomed.size());
-  }
-  Cv.notify_all();
-  for (WorkerPtr &W : Doomed)
+  for (WorkerPtr &W : Lanes)
     discard(std::move(W));
-}
-
-ProverWorkerPool::WorkerPtr ProverWorkerPool::acquire() {
-  for (;;) {
-    bool NeedSpawn = false;
-    {
-      std::unique_lock<std::mutex> Lock(M);
-      Cv.wait(Lock, [this] {
-        return Stopped || !Free.empty() || Live < C.Workers;
-      });
-      if (Stopped)
-        return nullptr;
-      if (!Free.empty()) {
-        WorkerPtr W = std::move(Free.back());
-        Free.pop_back();
-        if (W->alive())
-          return W;
-        // Died idle (e.g. a previous request's delayed demise): drop it
-        // and loop; the Live decrement lets us fork a replacement.
-        --Live;
-        Lock.unlock();
-        Cv.notify_all();
-        discard(std::move(W));
-        continue;
-      }
-      ++Live; // reserve the slot before forking outside the lock
-      NeedSpawn = true;
-    }
-    if (NeedSpawn) {
-      WorkerPtr W = spawnOne();
-      if (W)
-        return W;
-      std::lock_guard<std::mutex> Lock(M);
-      --Live;
-      Cv.notify_all();
-      return nullptr;
-    }
-  }
-}
-
-void ProverWorkerPool::release(WorkerPtr W) {
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    if (!Stopped) {
-      Free.push_back(std::move(W));
-      Cv.notify_one();
-      return;
-    }
-    --Live;
-  }
-  discard(std::move(W));
 }
 
 void ProverWorkerPool::discard(WorkerPtr W) {
@@ -242,7 +174,7 @@ void ProverWorkerPool::discard(WorkerPtr W) {
                AllFds.end());
 }
 
-ObligationResult ProverWorkerPool::run(size_t Index,
+ObligationResult ProverWorkerPool::run(unsigned Lane, size_t Index,
                                        const std::string &Name,
                                        uint64_t FaultKey,
                                        int64_t RemainingMs,
@@ -257,27 +189,29 @@ ObligationResult ProverWorkerPool::run(size_t Index,
   const long RssLimit =
       C.RssMb ? static_cast<long>(C.RssMb) * (1l << 20) : 0;
 
+  WorkerPtr &W = Lanes.at(Lane);
   std::string LastWhy = "no worker available";
   for (unsigned Attempt = 0; Attempt <= C.MaxRestarts; ++Attempt) {
     if (Attempt)
       backoff(Attempt, FaultKey);
-    auto AcquireStart = std::chrono::steady_clock::now();
-    WorkerPtr W = acquire();
-    if (!W)
-      break;
-    if (Attempt) {
-      // Recovery latency: backoff excluded, fork + books included.
-      support::metricAdd("worker.restarts");
-      support::metricObserve(
-          "worker.respawn_ms",
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - AcquireStart)
-              .count());
-      support::flightNote("worker.respawn",
-                          Name + " attempt " + std::to_string(Attempt),
-                          TraceId);
-      std::lock_guard<std::mutex> Lock(M);
-      ++S.Restarts;
+    if (!W) {
+      // Replace the lane's dead worker in place.
+      auto ForkStart = std::chrono::steady_clock::now();
+      W = spawnOne();
+      if (!W)
+        break;
+      if (Attempt) {
+        // Recovery latency: backoff excluded, fork + books included.
+        support::metricAdd("worker.restarts");
+        support::metricObserve(
+            "worker.respawn_ms",
+            std::chrono::duration<double, std::milli>(
+                std::chrono::steady_clock::now() - ForkStart)
+                .count());
+        support::flightNote("worker.respawn",
+                            Name + " attempt " + std::to_string(Attempt),
+                            TraceId);
+      }
     }
 
     std::string Resp;
@@ -299,15 +233,15 @@ ObligationResult ProverWorkerPool::run(size_t Index,
           T->Trace.importSerialized(Spans, W->pid());
           T->Trace.setProcessName(W->pid(), "prover-worker");
         }
-        release(std::move(W));
         return *R;
       }
       St = IoStatus::IO_Error; // decodable frame, undecodable payload
       LastWhy = "undecodable worker response";
     }
 
-    // The lease failed: classify, kill, replace. The kill-then-reap in
-    // discard() also recovers the exit status for the message.
+    // The request failed: classify and kill; the next attempt forks the
+    // lane's replacement. The kill-then-reap in discard() also recovers
+    // the exit status for the message.
     const char *Metric = "worker.crashes";
     switch (St) {
     case IoStatus::IO_Timeout:
@@ -332,18 +266,7 @@ ObligationResult ProverWorkerPool::run(size_t Index,
     }
     support::metricAdd(Metric);
     support::flightNote("worker.kill", Name + ": " + LastWhy, TraceId);
-    {
-      std::lock_guard<std::mutex> Lock(M);
-      if (St == IoStatus::IO_Timeout)
-        ++S.KillsWall;
-      else if (St == IoStatus::IO_RssExceeded)
-        ++S.KillsRss;
-      else
-        ++S.Crashes;
-      --Live;
-    }
     discard(std::move(W));
-    Cv.notify_all();
   }
 
   // Quarantine: this obligation has consumed its worker budget. Degrade
@@ -351,10 +274,6 @@ ObligationResult ProverWorkerPool::run(size_t Index,
   support::metricAdd("worker.quarantined");
   support::flightNote("worker.quarantine", Name + ": " + LastWhy,
                       TraceId);
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    ++S.Quarantined;
-  }
   ObligationResult R;
   R.Name = Name;
   R.St = ObligationResult::Status::OS_Unknown;
@@ -363,9 +282,4 @@ ObligationResult ProverWorkerPool::run(size_t Index,
       "quarantined after " + std::to_string(C.MaxRestarts + 1) +
           " worker attempts; last failure: " + LastWhy);
   return R;
-}
-
-ProverWorkerPool::Stats ProverWorkerPool::stats() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return S;
 }

@@ -5,18 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Out-of-process obligation discharge (DESIGN.md §12). A pool of forked
-/// worker subprocesses (support::Subprocess) each runs Z3 queries on
-/// behalf of the checker's threads: a prover segfault, runaway memory
-/// grab, or hang takes down one expendable child, never the pipeline.
+/// Out-of-process obligation discharge (DESIGN.md §12). Each lane of
+/// the checker's ThreadPool owns one forked worker subprocess
+/// (support::Subprocess) that runs its Z3 queries: a prover segfault,
+/// runaway memory grab, or hang takes down one expendable child, never
+/// the pipeline.
 ///
 /// The division of labor:
 ///
 ///  * The **parent** keeps every thread Z3-free while the pool is live —
-///    checker threads only lease workers, write request frames, and sit
-///    in supervised reads. That is what makes mid-run respawn forks safe:
-///    no parent thread can hold a Z3 (or other library) lock at fork
-///    time.
+///    a job on lane L only writes a request frame to lane L's worker and
+///    sits in a supervised read. That is what makes mid-run respawn forks
+///    safe: no parent thread can hold a Z3 (or other library) lock at
+///    fork time.
 ///  * A **worker child** loops: read a request frame
 ///    (`<job-index> <fault-key> <remaining-ms> <trace-id> <trace?>`),
 ///    open a fresh ScopedFaultKey for the job (so injected faults are
@@ -30,12 +31,13 @@
 /// Supervision (the watchdog) lives in run(): every request carries a
 /// wall deadline and an rss budget enforced by Subprocess::readFrame.
 /// A worker that crashes (EOF / torn frame), hangs (deadline), or
-/// balloons (rss) is SIGKILLed and replaced — with exponential backoff
-/// plus a deterministic stagger so a crash storm cannot busy-loop forks.
-/// The same obligation is retried on the fresh worker up to MaxRestarts
-/// times; past that it is **quarantined**: reported
-/// unknown(EK_WorkerCrash), which the checker maps to an Unproven
-/// verdict. The run always completes; containment degrades answers,
+/// balloons (rss) is SIGKILLed and replaced in its lane — with
+/// exponential backoff plus a deterministic stagger so a crash storm
+/// cannot busy-loop forks. The same obligation is retried on the fresh
+/// worker up to MaxRestarts times; past that it is **quarantined**:
+/// reported unknown(EK_WorkerCrash), which the checker maps to an
+/// Unproven verdict, and the lane forks its next worker when it next
+/// runs a job. The run always completes; containment degrades answers,
 /// never availability.
 ///
 //===----------------------------------------------------------------------===//
@@ -46,7 +48,6 @@
 #include "checker/Soundness.h"
 #include "support/Subprocess.h"
 
-#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -58,7 +59,7 @@ namespace checker {
 class ProverWorkerPool {
 public:
   struct Config {
-    unsigned Workers = 1; ///< Concurrent worker subprocesses.
+    unsigned Workers = 1; ///< Lanes, one worker subprocess each.
     /// Watchdog wall budget per request (ms). A worker that has not
     /// answered by then is killed and counted as hung.
     unsigned WallMs = 60000;
@@ -75,43 +76,32 @@ public:
   using JobRunner =
       std::function<ObligationResult(size_t Index, int64_t RemainingMs)>;
 
-  /// Observability; all counters monotonically increase over the pool's
-  /// lifetime and mirror the worker.* telemetry metrics.
-  struct Stats {
-    unsigned Spawns = 0;      ///< Forks, initial + replacement.
-    unsigned Restarts = 0;    ///< Replacement forks only.
-    unsigned Crashes = 0;     ///< Exits/torn frames mid-request.
-    unsigned KillsWall = 0;   ///< Watchdog kills: wall budget.
-    unsigned KillsRss = 0;    ///< Watchdog kills: rss budget.
-    unsigned Quarantined = 0; ///< Obligations degraded to Unproven.
-  };
-
   ProverWorkerPool(const Config &C, JobRunner Run);
   ~ProverWorkerPool(); ///< stop()s.
 
   ProverWorkerPool(const ProverWorkerPool &) = delete;
   ProverWorkerPool &operator=(const ProverWorkerPool &) = delete;
 
-  /// Forks the initial workers. Call before fanning jobs onto threads —
+  /// Forks one worker per lane. Call before fanning jobs onto threads —
   /// this is the one fork done from a quiescent parent. False when no
-  /// worker could be forked (caller should fall back to in-process).
+  /// worker could be forked (caller should fall back to in-process); a
+  /// lane whose fork failed retries it on its first job.
   bool start();
 
-  /// Kills every idle worker. Leased workers are reaped as their
-  /// requests finish (run() discards instead of releasing once stopped).
+  /// Kills every worker. Call once no run() is in flight.
   void stop();
 
-  /// Discharges job \p Index on a leased worker (thread-safe; blocks for
-  /// a free worker). \p Name and \p FaultKey identify the obligation in
-  /// the request frame and in quarantine messages; \p TraceId is the
-  /// request's trace ID, carried into the child so worker spans join the
-  /// request's trace. Never throws and always returns a result: on
-  /// repeated worker death the result is unknown(EK_WorkerCrash).
-  ObligationResult run(size_t Index, const std::string &Name,
+  /// Discharges job \p Index on lane \p Lane's worker. Thread-safe as
+  /// long as no two concurrent calls share a lane (ThreadPool lanes are
+  /// unique among a batch's running jobs). \p Name and \p FaultKey
+  /// identify the obligation in the request frame and in quarantine
+  /// messages; \p TraceId is the request's trace ID, carried into the
+  /// child so worker spans join the request's trace. Never throws and
+  /// always returns a result: on repeated worker death the result is
+  /// unknown(EK_WorkerCrash).
+  ObligationResult run(unsigned Lane, size_t Index, const std::string &Name,
                        uint64_t FaultKey, int64_t RemainingMs,
                        uint64_t TraceId = 0);
-
-  Stats stats() const;
 
 private:
   using WorkerPtr = std::unique_ptr<support::Subprocess>;
@@ -120,23 +110,16 @@ private:
   int childLoop(int SocketFd);
   /// Forks one worker; registers its fd for sibling closing.
   WorkerPtr spawnOne();
-  /// Leases a live worker, forking a replacement when the pool is below
-  /// strength. Returns null only when forking fails or the pool stopped.
-  WorkerPtr acquire();
-  void release(WorkerPtr W);
-  /// Removes a dead/poisoned worker from the books.
+  /// Kills a worker and drops its fd from the books.
   void discard(WorkerPtr W);
 
   Config C;
   JobRunner Run;
-
-  mutable std::mutex M; ///< Guards Free/AllFds/Live/Stopped/S.
-  std::condition_variable Cv;
-  std::vector<WorkerPtr> Free;
+  /// Lane L's worker, touched only by the job running on lane L; null
+  /// once killed, until the lane forks its replacement.
+  std::vector<WorkerPtr> Lanes;
+  std::mutex M;            ///< Guards AllFds.
   std::vector<int> AllFds; ///< Parent-side fds of live workers.
-  unsigned Live = 0;       ///< Free + leased.
-  bool Stopped = false;
-  Stats S;
 };
 
 } // namespace checker

@@ -889,17 +889,17 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
     return B.check(Spec.Name, Goal, Policy, Left);
   };
 
-  // Out-of-process mode: fork the workers *now*, before any job fans
-  // onto the thread pool — its threads are idle (condvar wait), so no
-  // lock can be mid-flight in the forked image. Later respawn forks are
-  // safe for the same reason in a different guise: while the pool is
+  // Out-of-process mode: fork one worker per lane *now*, before any job
+  // fans onto the thread pool — its threads are idle (condvar wait), so
+  // no lock can be mid-flight in the forked image. Later respawn forks
+  // are safe for the same reason in a different guise: while the pool is
   // live no parent thread ever enters Z3 (only children do), so parent
   // threads hold nothing a child's solver run would need.
   std::unique_ptr<ProverWorkerPool> Workers;
   if (Policy.Isolation == WorkerIsolation::WI_Subprocess &&
       !Flat.empty()) {
     ProverWorkerPool::Config WC;
-    WC.Workers = Pool && !Pool->inlineMode() ? Pool->jobs() : 1;
+    WC.Workers = Pool ? Pool->jobs() : 1;
     WC.WallMs = Policy.WorkerWallMs
                     ? Policy.WorkerWallMs
                     : 2 * Policy.TimeoutMs + 30000;
@@ -936,7 +936,7 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
   std::vector<size_t> Deferred;
 
   // The one per-obligation runner: trace span, budget check, dispatch
-  // (in-process, or on a leased worker), record. The span carries
+  // (in-process, or on the job's lane's worker), record. The span carries
   // deterministic args only (verdict, attempts, rlimit — wall time lives
   // in the span duration, which equivalence tests ignore).
   auto Run = [&](size_t Idx, bool InProcess) {
@@ -965,7 +965,8 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
     } else {
       // The worker child opens the fault scope (per request, so retried
       // obligations redraw the same decisions); the parent supervises.
-      Result = Workers->run(Idx, Name, FaultKey, Left, SuiteTraceId);
+      unsigned Lane = Pool ? support::ThreadPool::currentLane() : 0;
+      Result = Workers->run(Lane, Idx, Name, FaultKey, Left, SuiteTraceId);
       if (Result.Err.Kind == ErrorKind::EK_WorkerCrash &&
           Policy.Degraded == DegradedMode::DM_InProcess) {
         // Opt-in last resort: answer beats isolation. Deferred past the
@@ -978,10 +979,10 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
     recordObligation(Result, Span);
   };
 
-  // Inline-mode pools and the no-pool case run jobs in index order on
-  // this thread — exactly the sequential checker.
+  // Without a pool, jobs run in index order on this thread (lane 0) —
+  // exactly the sequential checker, as on a width-1 pool.
   auto ForEach = [this](size_t N, const std::function<void(size_t)> &F) {
-    if (Pool && !Pool->inlineMode())
+    if (Pool)
       Pool->parallelFor(N, F);
     else
       for (size_t I = 0; I < N; ++I)

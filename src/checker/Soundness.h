@@ -166,7 +166,7 @@ enum class DegradedMode {
 
 /// Resource policy for discharging obligations. Attempts escalate: the
 /// first runs at InitialTimeoutMs, each retry multiplies the timeout by
-/// EscalationFactor, and the final attempt runs at the full TimeoutMs.
+/// 5, and the final attempt runs at the full TimeoutMs.
 /// An optional total wall-clock budget bounds each obligation set (one
 /// definition, or one validated procedure pair); obligations past the
 /// budget are reported unknown(ProverTimeout) without invoking the
@@ -175,10 +175,8 @@ enum class DegradedMode {
 struct ProverPolicy {
   unsigned TimeoutMs = 30000;       ///< Final-attempt (full) timeout.
   unsigned InitialTimeoutMs = 2000; ///< First-attempt timeout.
-  unsigned EscalationFactor = 5;    ///< Timeout multiplier per retry.
   unsigned Retries = 2;             ///< Extra attempts after the first.
   uint64_t BudgetMs = 0;            ///< Per-set wall budget; 0 = none.
-  unsigned MaxMemoryMb = 0;         ///< Z3 max_memory cap; 0 = default.
   uint64_t RLimit = 0;              ///< Z3 rlimit cap; 0 = unlimited.
 
   /// \name Worker isolation (meaningful under WI_Subprocess).
@@ -234,10 +232,6 @@ public:
   /// the witnesses of analysis labels (§3.2.3 label semantics).
   SoundnessChecker(const LabelRegistry &Registry,
                    std::vector<PureAnalysis> Analyses = {});
-
-  /// Full-budget Z3 timeout (milliseconds). Default 30000. Retained for
-  /// existing callers; equivalent to editing policy().TimeoutMs.
-  void setTimeoutMs(unsigned Millis) { Policy.TimeoutMs = Millis; }
 
   void setPolicy(const ProverPolicy &P) { Policy = P; }
   const ProverPolicy &policy() const { return Policy; }

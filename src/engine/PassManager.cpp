@@ -411,10 +411,10 @@ std::vector<PassReport> PassManager::runPasses(const std::vector<Pass> &ToRun,
     }
   };
 
-  // Inline-mode pools and the no-pool case both run procedures in index
-  // order on this thread; worker pools fan them out. Either way the
-  // merge below is the only writer of shared state.
-  if (Pool && !Pool->inlineMode())
+  // Without a pool, procedures run in index order on this thread, as on
+  // a width-1 pool. Either way the merge below is the only writer of
+  // shared state.
+  if (Pool)
     Pool->parallelFor(Jobs.size(), RunProc);
   else
     for (size_t PI = 0; PI < Jobs.size(); ++PI)

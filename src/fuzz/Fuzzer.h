@@ -115,7 +115,7 @@ struct FuzzSummary {
 /// habitat within a handful of runs. Exposed for tests.
 ir::GenOptions deriveGenOptions(uint64_t RunIndex);
 
-/// The fuzzing loop. \p Pool provides the parallelism (inline mode = a
+/// The fuzzing loop. \p Pool provides the parallelism (width 1 = a
 /// plain sequential loop). See the determinism contract above.
 FuzzSummary runFuzz(const std::vector<FuzzTarget> &Targets,
                     const FuzzOptions &Options, support::ThreadPool &Pool);

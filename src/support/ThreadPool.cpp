@@ -8,51 +8,102 @@
 
 #include "support/Telemetry.h"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <exception>
+#include <utility>
 
 using namespace cobalt;
 using namespace cobalt::support;
 
-ThreadPool::ThreadPool(unsigned Threads) {
-  if (Threads == 0) {
-    Threads = std::thread::hardware_concurrency();
-    if (Threads == 0)
-      Threads = 1;
-  }
-  if (Threads <= 1)
-    return; // inline mode
-  Workers.reserve(Threads);
-  for (unsigned I = 0; I < Threads; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
+namespace {
+thread_local unsigned LaneTLS = 0;
+} // namespace
+
+/// One parallelFor call. Lives on its caller's stack; the caller returns
+/// only after every claimed index has reported back under the pool mutex.
+struct ThreadPool::Batch {
+  Batch(size_t N, const std::function<void(size_t)> &Body)
+      : N(N), Body(Body), Telem(Telemetry::active()),
+        Enqueued(std::chrono::steady_clock::now()), Errors(N) {}
+
+  size_t N;
+  const std::function<void(size_t)> &Body;
+  /// Telemetry is sampled once per batch: the pointer stays valid for
+  /// the whole call, and jobs read it without touching the ambient
+  /// atomic again. The wait/exec histograms carry wall noise and are for
+  /// humans; the jobs counter is deterministic per batch shape.
+  Telemetry *Telem;
+  std::chrono::steady_clock::time_point Enqueued;
+  size_t Next = 0;     ///< Next unclaimed index (guarded by the pool's M).
+  size_t Finished = 0; ///< Completed indices (guarded by the pool's M).
+  std::condition_variable Done;
+  std::vector<std::exception_ptr> Errors; ///< Slot I owned by index I.
+};
+
+ThreadPool::ThreadPool(unsigned Lanes) {
+  if (Lanes == 0)
+    Lanes = std::max(1u, std::thread::hardware_concurrency());
+  Workers.reserve(Lanes - 1);
+  for (unsigned Lane = 1; Lane < Lanes; ++Lane)
+    Workers.emplace_back([this, Lane] { workerLoop(Lane); });
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
+    std::lock_guard<std::mutex> Lock(M);
     ShuttingDown = true;
   }
-  QueueReady.notify_all();
+  WorkReady.notify_all();
   for (std::thread &W : Workers)
     W.join();
 }
 
-void ThreadPool::workerLoop(unsigned Index) {
-  // Worker I owns trace lane I + 1 for its whole lifetime (lane 0 is the
-  // submitting thread); spans recorded from jobs land on this lane.
-  TraceRecorder::setCurrentLane(Index + 1);
+unsigned ThreadPool::currentLane() { return LaneTLS; }
+
+size_t ThreadPool::claimLocked(Batch &B) {
+  size_t I = B.Next++;
+  if (B.Next == B.N)
+    Open.erase(std::remove(Open.begin(), Open.end(), &B), Open.end());
+  return I;
+}
+
+void ThreadPool::runIndex(Batch &B, size_t I) {
+  auto Start = std::chrono::steady_clock::now();
+  if (B.Telem)
+    B.Telem->Metrics.observe(
+        "threadpool.job_wait_seconds",
+        std::chrono::duration<double>(Start - B.Enqueued).count());
+  try {
+    B.Body(I);
+  } catch (...) {
+    B.Errors[I] = std::current_exception();
+  }
+  if (B.Telem)
+    B.Telem->Metrics.observe(
+        "threadpool.job_seconds",
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      Start)
+            .count());
+}
+
+void ThreadPool::workerLoop(unsigned Lane) {
+  // Worker lanes are fixed for the thread's lifetime, and double as its
+  // trace lane (lane 0 is the calling thread).
+  LaneTLS = Lane;
+  TraceRecorder::setCurrentLane(Lane);
+  std::unique_lock<std::mutex> Lock(M);
   for (;;) {
-    std::function<void()> Job;
-    {
-      std::unique_lock<std::mutex> Lock(QueueMutex);
-      QueueReady.wait(Lock,
-                      [this] { return ShuttingDown || !Queue.empty(); });
-      if (Queue.empty())
-        return; // shutting down and drained
-      Job = std::move(Queue.front());
-      Queue.pop();
-    }
-    Job(); // jobs handle their own exceptions (see parallelFor)
+    WorkReady.wait(Lock, [this] { return ShuttingDown || !Open.empty(); });
+    if (Open.empty())
+      return; // shutting down and drained
+    Batch &B = *Open.front();
+    size_t I = claimLocked(B);
+    Lock.unlock();
+    runIndex(B, I);
+    Lock.lock();
+    if (++B.Finished == B.N)
+      B.Done.notify_all();
   }
 }
 
@@ -60,91 +111,31 @@ void ThreadPool::parallelFor(size_t N,
                              const std::function<void(size_t)> &Body) {
   if (N == 0)
     return;
+  Batch B(N, Body);
+  if (B.Telem)
+    B.Telem->Metrics.add("threadpool.jobs", N);
 
-  if (inlineMode()) {
-    for (size_t I = 0; I < N; ++I)
-      Body(I);
-    return;
+  // The caller is lane 0 of its own batch, even when it is a worker
+  // running an outer job; it claims only this batch's indices, so with
+  // no workers this is the index-order loop.
+  const unsigned OuterLane = std::exchange(LaneTLS, 0);
+  std::unique_lock<std::mutex> Lock(M);
+  Open.push_back(&B);
+  WorkReady.notify_all();
+  while (B.Next < N) {
+    size_t I = claimLocked(B);
+    Lock.unlock();
+    runIndex(B, I);
+    Lock.lock();
+    ++B.Finished;
   }
-
-  // Per-batch completion tracking, so parallelFor calls are independent
-  // (no pool-global wait that a concurrent batch could confuse).
-  struct Batch {
-    std::mutex M;
-    std::condition_variable Done;
-    size_t Remaining;
-    std::vector<std::exception_ptr> Errors;
-  };
-  auto B = std::make_shared<Batch>();
-  B->Remaining = N;
-  B->Errors.assign(N, nullptr);
-
-  // Telemetry is sampled once per batch: the pointer stays valid for the
-  // whole call (parallelFor blocks until the batch drains), and jobs can
-  // read it without touching the ambient atomic again. Wait/exec
-  // histograms carry wall noise and are for humans; the jobs counter and
-  // queue high-water gauge are deterministic per batch shape.
-  Telemetry *Telem = Telemetry::active();
-  if (Telem)
-    Telem->Metrics.add("threadpool.jobs", N);
-  auto Enqueued = std::chrono::steady_clock::now();
-
-  {
-    std::lock_guard<std::mutex> Lock(QueueMutex);
-    for (size_t I = 0; I < N; ++I) {
-      Queue.push([B, I, &Body, Telem, Enqueued] {
-        auto Start = std::chrono::steady_clock::now();
-        if (Telem)
-          Telem->Metrics.observe(
-              "threadpool.job_wait_seconds",
-              std::chrono::duration<double>(Start - Enqueued).count());
-        try {
-          Body(I);
-        } catch (...) {
-          B->Errors[I] = std::current_exception(); // slot owned by this job
-        }
-        if (Telem)
-          Telem->Metrics.observe(
-              "threadpool.job_seconds",
-              std::chrono::duration<double>(
-                  std::chrono::steady_clock::now() - Start)
-                  .count());
-        std::lock_guard<std::mutex> BatchLock(B->M);
-        if (--B->Remaining == 0)
-          B->Done.notify_all();
-      });
-    }
-    if (Telem)
-      Telem->Metrics.gaugeMax("threadpool.queue_depth_max",
-                              static_cast<int64_t>(Queue.size()));
-  }
-  QueueReady.notify_all();
-
-  // The submitting thread helps drain the queue instead of idling: with
-  // more batches than workers this avoids deadlock-free but wasteful
-  // blocking, and on a loaded machine it shortens the critical path.
-  for (;;) {
-    std::function<void()> Job;
-    {
-      std::unique_lock<std::mutex> Lock(QueueMutex);
-      if (!Queue.empty()) {
-        Job = std::move(Queue.front());
-        Queue.pop();
-      }
-    }
-    if (!Job)
-      break;
-    Job();
-  }
-
-  {
-    std::unique_lock<std::mutex> Lock(B->M);
-    B->Done.wait(Lock, [&B] { return B->Remaining == 0; });
-  }
+  B.Done.wait(Lock, [&B] { return B.Finished == B.N; });
+  Lock.unlock();
+  LaneTLS = OuterLane;
 
   // Deterministic rethrow: the lowest failing index, exactly what a
   // sequential for-loop would have surfaced first.
   for (size_t I = 0; I < N; ++I)
-    if (B->Errors[I])
-      std::rethrow_exception(B->Errors[I]);
+    if (B.Errors[I])
+      std::rethrow_exception(B.Errors[I]);
 }

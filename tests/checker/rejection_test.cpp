@@ -43,7 +43,7 @@ TEST_P(RejectionTest, BuggyVariantIsRejectedAtTheRightObligation) {
   // Rejections may surface as "unknown" when the counterexample needs a
   // model over quantified arrays; a short timeout keeps the suite fast
   // and a conservative checker treats unknown as rejection anyway.
-  SC.setTimeoutMs(4000);
+  SC.setPolicy({.TimeoutMs = 4000});
   CheckReport R = SC.checkOptimization(Case.Opt);
 
   EXPECT_FALSE(R.Sound) << Case.Opt.Name
@@ -76,7 +76,7 @@ TEST(RejectionAnalysisTest, BuggyTaintAnalysisIsRejected) {
   for (const LabelDef &Def : Case.Analysis.Labels)
     Registry.define(Def);
   SoundnessChecker SC(Registry);
-  SC.setTimeoutMs(4000);
+  SC.setPolicy({.TimeoutMs = 4000});
   CheckReport R = SC.checkAnalysis(Case.Analysis);
   EXPECT_FALSE(R.Sound) << Case.Explanation;
   bool ExpectedObligationFailed = false;
@@ -95,7 +95,7 @@ TEST(RejectionDetailTest, CounterexampleContextIsProducedWhenSat) {
     Registry.define(Def);
   Registry.declareAnalysisLabel("notTainted");
   SoundnessChecker SC(Registry, opts::allAnalyses());
-  SC.setTimeoutMs(4000);
+  SC.setPolicy({.TimeoutMs = 4000});
   bool SawModel = false;
   for (const opts::BuggyCase &Case : opts::allBuggyOptimizations()) {
     for (const LabelDef &Def : Case.Opt.Labels)

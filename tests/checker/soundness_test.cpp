@@ -37,7 +37,7 @@ protected:
 
   void expectSound(const Optimization &O) {
     SoundnessChecker SC(Registry, opts::allAnalyses());
-    SC.setTimeoutMs(30000);
+    SC.setPolicy({.TimeoutMs = 30000});
     CheckReport R = SC.checkOptimization(O);
     EXPECT_TRUE(R.Sound) << R.str();
     for (const ObligationResult &Ob : R.Obligations)

@@ -94,7 +94,7 @@ TEST_F(WitnessInferenceTest, AWrongGuessOnlyFailsTheProof) {
   auto Inferred = withInferredWitness(O);
   ASSERT_TRUE(Inferred.has_value());
   SoundnessChecker SC(Registry, opts::allAnalyses());
-  SC.setTimeoutMs(4000);
+  SC.setPolicy({.TimeoutMs = 4000});
   EXPECT_FALSE(SC.checkOptimization(*Inferred).Sound);
 }
 

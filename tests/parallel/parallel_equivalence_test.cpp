@@ -39,7 +39,7 @@ namespace faults = cobalt::support::faults;
 
 namespace {
 
-/// The widths under test. 1 is the inline-mode baseline.
+/// The widths under test. 1 is the sequential baseline.
 const unsigned Widths[] = {1, 4, 8};
 
 LabelRegistry makeRegistry() {

@@ -19,6 +19,7 @@
 #include "opts/Labels.h"
 #include "opts/Optimizations.h"
 #include "support/FaultInjection.h"
+#include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -119,6 +120,20 @@ TEST(ContainmentTest, CleanIsolationMatchesInProcessVerdicts) {
     OutOfProc.Jobs = Jobs;
     EXPECT_EQ(runSuite(OutOfProc), Baseline) << "jobs=" << Jobs;
   }
+}
+
+TEST(ContainmentTest, CleanSuiteForksOneWorkerPerLane) {
+  // --jobs 4 is four lanes, and each lane keeps its own worker for the
+  // whole check: four initial forks, none replaced on a clean run.
+  support::Telemetry Telem;
+  {
+    support::TelemetryScope Scope(&Telem);
+    RunConfig RC;
+    RC.Jobs = 4;
+    runSuite(RC);
+  }
+  EXPECT_EQ(Telem.Metrics.counter("worker.spawns"), 4u);
+  EXPECT_EQ(Telem.Metrics.counter("worker.restarts"), 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -391,6 +391,21 @@ std::string adversaryJson(const Options &Opts,
   return Out;
 }
 
+/// Writes the campaign's --trace-out= and --metrics-out= files, if asked.
+void writeTelemetry(const Options &Opts, api::CobaltService &Svc) {
+  support::Telemetry *T = Svc.telemetry();
+  if (!T)
+    return;
+  if (!Opts.TraceOut.empty() &&
+      !writeTextFile(Opts.TraceOut, T->Trace.json()))
+    std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
+                 Opts.TraceOut.c_str());
+  if (!Opts.MetricsOut.empty() &&
+      !writeTextFile(Opts.MetricsOut, T->Metrics.json()))
+    std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
+                 Opts.MetricsOut.c_str());
+}
+
 /// `cobalt-fuzz --validate`: the adversarial campaign of DESIGN.md §14.
 /// The fuzzer switches sides — instead of probing the checker it
 /// miscompiles programs and tries to sneak them past the validator.
@@ -459,13 +474,15 @@ int main(int Argc, char **Argv) {
   Config.Telemetry = !Opts.TraceOut.empty() || !Opts.MetricsOut.empty();
   if (Opts.Validate) {
     // The adversary measures verdict *safety*, not proof completeness:
-    // Unknown is an acceptable outcome, so unprovable obligations must
-    // fail fast rather than burn the full escalating-retry ladder
-    // (2s/10s/30s per obligation would make a campaign take hours).
-    Config.Prover.InitialTimeoutMs = 500;
-    Config.Prover.TimeoutMs = 2000;
-    Config.Prover.Retries = 1;
-    Config.Prover.BudgetMs = 10000;
+    // Unknown is an acceptable outcome, so an unprovable obligation must
+    // end fast, and end the same way on every machine and under any
+    // load. A Z3 rlimit (solver steps, not milliseconds) decides that:
+    // 3M is about 1.4x the largest spend (2.18M) of any obligation the
+    // seed-1 smoke campaign proves. A retry under the same rlimit would
+    // repeat the same query, and the default 30 s timeout is only a
+    // backstop.
+    Config.Prover.RLimit = 3000000;
+    Config.Prover.Retries = 0;
   }
   // One service: its pool runs the campaign, it validates --validate's
   // pairs, and its session collects the campaign's telemetry.
@@ -477,8 +494,11 @@ int main(int Argc, char **Argv) {
   if (Opts.Check)
     recomputeVerdicts(Config, Targets);
 
-  if (Opts.Validate)
-    return runValidateMode(Opts, *Svc, Targets);
+  if (Opts.Validate) {
+    int Exit = runValidateMode(Opts, *Svc, Targets);
+    writeTelemetry(Opts, *Svc);
+    return Exit;
+  }
 
   const auto Start = std::chrono::steady_clock::now();
   fuzz::FuzzSummary Sum = fuzz::runFuzz(Targets, Opts.Fuzz, Svc->pool());
@@ -497,16 +517,7 @@ int main(int Argc, char **Argv) {
       return ExitUsage;
     }
 
-  if (support::Telemetry *T = Svc->telemetry()) {
-    if (!Opts.TraceOut.empty() &&
-        !writeTextFile(Opts.TraceOut, T->Trace.json()))
-      std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
-                   Opts.TraceOut.c_str());
-    if (!Opts.MetricsOut.empty() &&
-        !writeTextFile(Opts.MetricsOut, T->Metrics.json()))
-      std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
-                   Opts.MetricsOut.c_str());
-  }
+  writeTelemetry(Opts, *Svc);
 
   // Throughput carries wall-clock noise: stderr only, never the JSON.
   std::fprintf(stderr,
