@@ -17,13 +17,18 @@
 /// `bench_engine --gate` switches to the CI gate: the engine's RPO +
 /// ψ2-memoized solver is checked fact-for-fact against a deliberately
 /// naive FIFO-worklist reference built only on the public core/Formula.h
-/// evaluation API, then timed against it. The gate fails (exit 1) on any
-/// AtNode divergence or if the measured speedup drops below the floor
-/// recorded in EXPERIMENTS.md. Emits BENCH_engine.json in the CWD.
+/// evaluation API, then timed against it. Referee cases also check that
+/// the site-seeded computeDelta equals the Δ the unseeded reference
+/// derives through the public matchStmt. The gate fails (exit 1) on any
+/// AtNode or Δ divergence, if the measured speedup drops below the floor
+/// recorded in EXPERIMENTS.md, or if a millisecond-sized case does not
+/// visit fewer nodes than the reference. Emits BENCH_engine.json in the
+/// CWD.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Formula.h"
+#include "core/Match.h"
 #include "engine/Dataflow.h"
 #include "engine/Engine.h"
 #include "ir/Generator.h"
@@ -272,6 +277,39 @@ ReferenceSolution referenceSolveGuard(Direction Dir, const Guard &Gd,
   return Sol;
 }
 
+/// Δ = [[O_pat]](p) from the reference's unseeded AtNode: every fact at
+/// every node, extended by a match of s through the public matchStmt.
+std::vector<MatchSite> referenceDelta(const Optimization &O,
+                                      const Procedure &P) {
+  Cfg G(P);
+  ReferenceSolution Ref =
+      referenceSolveGuard(O.Pat.Dir, O.Pat.G, G, registry());
+  std::vector<MatchSite> Delta;
+  for (int I = 0; I < P.size(); ++I) {
+    std::set<Substitution> Seen;
+    for (const Substitution &Theta : Ref.AtNode[I]) {
+      Substitution Extended = Theta;
+      if (matchStmt(O.Pat.From, P.stmtAt(I), Extended) &&
+          Seen.insert(Extended).second)
+        Delta.push_back({I, std::move(Extended)});
+    }
+  }
+  return Delta;
+}
+
+/// A correctness-only case: site-seeded computeDelta against the
+/// reference Δ. Seeding makes the engine side far cheaper than the
+/// unseeded reference, so these cases stay out of the speed geomean.
+struct DeltaCase {
+  const char *Name;
+  Optimization O;
+  unsigned Stmts;
+  bool Pointers;
+  size_t Sites = 0;    ///< |Δ|.
+  double Seconds = 0;  ///< Both sides, reference included.
+  bool Match = false;
+};
+
 struct GateCase {
   const char *Name;
   Direction Dir;
@@ -295,12 +333,15 @@ int runGate(bool Quick) {
   // Floors intentionally below the measured speedups (see EXPERIMENTS.md,
   // experiment E6-gate) so only a real regression — e.g. losing the RPO
   // schedule, the ψ2 memo, or the interned bitset facts — trips them, not
-  // machine-to-machine noise. The geomean carries the headline (the
-  // smallest programs finish in milliseconds and are noise-dominated);
-  // the min floor just demands the engine never lose to the naive
-  // reference outright.
+  // machine-to-machine noise. The geomean carries the headline; the min
+  // floor just demands the engine never lose to the naive reference
+  // outright. The 25-statement cases finish in milliseconds on both
+  // sides, so their ratio is load noise: they are gated on the
+  // deterministic visit counts instead (engine RPO visits below the
+  // reference's FIFO visits).
   constexpr double GeomeanFloor = 10.0;
   constexpr double MinFloor = 1.0;
+  constexpr unsigned CountGatedStmts = 25;
 
   std::vector<GateCase> Cases = {
       {"constProp/forward/25", Direction::D_Forward, 25},
@@ -313,10 +354,11 @@ int runGate(bool Quick) {
     Cases.resize(2);
 
   std::printf("engine gate: solveGuard vs naive FIFO reference "
-              "(geomean floor %.1fx, min floor %.1fx)\n\n",
-              GeomeanFloor, MinFloor);
+              "(geomean floor %.1fx, min floor %.1fx above %u statements; "
+              "iterations < visits at %u)\n\n",
+              GeomeanFloor, MinFloor, CountGatedStmts, CountGatedStmts);
 
-  bool AllMatch = true;
+  bool AllMatch = true, CountsOk = true;
   double MinSpeedup = -1;
   double LogSum = 0;
   for (GateCase &C : Cases) {
@@ -352,7 +394,9 @@ int runGate(bool Quick) {
                     ? C.ReferenceSeconds / C.EngineSeconds
                     : 0;
     AllMatch = AllMatch && C.Match;
-    if (MinSpeedup < 0 || C.Speedup < MinSpeedup)
+    if (C.Stmts == CountGatedStmts)
+      CountsOk = CountsOk && C.Iterations < C.Visits;
+    else if (MinSpeedup < 0 || C.Speedup < MinSpeedup)
       MinSpeedup = C.Speedup;
     LogSum += std::log(std::max(C.Speedup, 1e-9));
     std::printf("  %-28s engine %8.4f s  reference %8.4f s  "
@@ -363,14 +407,42 @@ int runGate(bool Quick) {
                 C.Match ? "match" : "MISMATCH");
   }
 
+  // Δ referee: a fixed program per rule, each with at least one site (an
+  // empty Δ on both sides would referee nothing).
+  std::vector<DeltaCase> DeltaCases = {
+      {"constFoldAdd/delta/50", opts::constFoldAdd(), 50, false},
+      {"cse/delta/50", opts::cse(), 50, false},
+      {"deadAssignElim/delta/pointers/50", opts::deadAssignElim(), 50,
+       true},
+  };
+  bool DeltasMatch = true;
+  double DeltaSeconds = 0;
+  for (DeltaCase &D : DeltaCases) {
+    auto T0 = std::chrono::steady_clock::now();
+    Program Prog = makeProgram(D.Stmts, /*Vars=*/5, D.Pointers);
+    const Procedure &Main = *Prog.findProc("main");
+    std::vector<MatchSite> Delta =
+        computeDelta(D.O.Pat, Main, registry(), nullptr);
+    D.Match = !Delta.empty() && Delta == referenceDelta(D.O, Main);
+    D.Sites = Delta.size();
+    D.Seconds = secondsSince(T0);
+    DeltaSeconds += D.Seconds;
+    DeltasMatch = DeltasMatch && D.Match;
+    std::printf("  %-34s sites %4zu  %8.4f s  %s\n", D.Name, D.Sites,
+                D.Seconds, D.Match ? "match" : "MISMATCH");
+  }
+
   double Geomean = std::exp(LogSum / Cases.size());
   bool GateSpeed = Geomean >= GeomeanFloor && MinSpeedup >= MinFloor;
-  bool Pass = AllMatch && GateSpeed;
-  std::printf("\n  gates: all AtNode sets %s; speedup geomean %.1fx "
-              "(floor %.1fx), min %.1fx (floor %.1fx) %s\n",
-              AllMatch ? "match PASS" : "diverge FAIL", Geomean,
+  bool Pass = AllMatch && DeltasMatch && GateSpeed && CountsOk;
+  std::printf("\n  gates: all AtNode sets %s; all Delta %s; speedup geomean "
+              "%.1fx (floor %.1fx), min %.1fx (floor %.1fx) %s; "
+              "iterations < visits at %u statements %s\n",
+              AllMatch ? "match PASS" : "diverge FAIL",
+              DeltasMatch ? "match PASS" : "diverge FAIL", Geomean,
               GeomeanFloor, MinSpeedup, MinFloor,
-              GateSpeed ? "PASS" : "FAIL");
+              GateSpeed ? "PASS" : "FAIL", CountGatedStmts,
+              CountsOk ? "PASS" : "FAIL");
 
   std::string J = "{\n  \"benchmark\": \"engine\",\n  \"cases\": [\n";
   char Buf[512];
@@ -388,13 +460,27 @@ int runGate(bool Quick) {
                   I + 1 < Cases.size() ? "," : "");
     J += Buf;
   }
+  J += "  ],\n  \"delta_cases\": [\n";
+  for (size_t I = 0; I < DeltaCases.size(); ++I) {
+    const DeltaCase &D = DeltaCases[I];
+    std::snprintf(Buf, sizeof(Buf),
+                  "    {\"name\": \"%s\", \"stmts\": %u, \"sites\": %zu, "
+                  "\"seconds\": %.6f, \"match\": %s}%s\n",
+                  D.Name, D.Stmts, D.Sites, D.Seconds,
+                  D.Match ? "true" : "false",
+                  I + 1 < DeltaCases.size() ? "," : "");
+    J += Buf;
+  }
   std::snprintf(Buf, sizeof(Buf),
                 "  ],\n  \"gates\": {\"all_match\": %s, "
+                "\"delta_match\": %s, \"delta_seconds\": %.3f, "
                 "\"speedup_geomean\": %.2f, \"geomean_floor\": %.1f, "
-                "\"min_speedup\": %.2f, \"min_floor\": %.1f},\n"
+                "\"min_speedup\": %.2f, \"min_floor\": %.1f, "
+                "\"iterations_below_visits\": %s},\n"
                 "  \"pass\": %s\n}\n",
-                AllMatch ? "true" : "false", Geomean, GeomeanFloor,
-                MinSpeedup, MinFloor, Pass ? "true" : "false");
+                AllMatch ? "true" : "false", DeltasMatch ? "true" : "false",
+                DeltaSeconds, Geomean, GeomeanFloor, MinSpeedup, MinFloor,
+                CountsOk ? "true" : "false", Pass ? "true" : "false");
   J += Buf;
 
   if (std::FILE *F = std::fopen("BENCH_engine.json", "wb")) {

@@ -52,7 +52,8 @@ void api::preregisterHeadlineCounters(support::Telemetry &T) {
       "engine.procs",
       "engine.passes",           "engine.rewrites",
       "engine.rollbacks",        "engine.pass_failures",
-      "engine.quarantine_skips", "dataflow.solves",
+      "engine.quarantine_skips", "engine.passes_unmatched",
+      "dataflow.solves",         "dataflow.universe",
       "dataflow.fixpoint_iters", "dataflow.meet_dropped",
       "dataflow.psi2_dropped",   "fuzz.runs",
       "fuzz.programs",           "fuzz.divergences",

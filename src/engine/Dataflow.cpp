@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <set>
 #include <string_view>
 #include <unordered_map>
 
@@ -86,12 +87,72 @@ struct SubstitutionHash {
   }
 };
 
+/// The variables satisfyFormula enumerates over the universe on every
+/// way it can satisfy \p F, when those in \p MayBound may already be
+/// bound; adds to \p MayBound what F may bind. Mirrors satisfyFormula's
+/// strategy: stmt patterns, analysis labels and the result of computes
+/// bind by matching, conjuncts run left to right, and everything else
+/// enumerates its unbound variables.
+std::set<std::string> alwaysEnumerated(const Formula &F,
+                                       const LabelRegistry &Registry,
+                                       std::set<std::string> &MayBound) {
+  std::set<std::string> Out;
+  std::vector<std::pair<std::string, MetaKind>> Enumerates;
+  switch (F.K) {
+  case Formula::Kind::FK_True:
+  case Formula::Kind::FK_False:
+    return Out;
+  case Formula::Kind::FK_And:
+    for (const FormulaPtr &Kid : F.Kids)
+      Out.merge(alwaysEnumerated(*Kid, Registry, MayBound));
+    return Out;
+  case Formula::Kind::FK_Or: {
+    const std::set<std::string> Before = MayBound;
+    for (size_t K = 0; K < F.Kids.size(); ++K) {
+      std::set<std::string> KidBound = Before;
+      std::set<std::string> KidOut =
+          alwaysEnumerated(*F.Kids[K], Registry, KidBound);
+      MayBound.merge(KidBound);
+      if (K == 0)
+        Out = std::move(KidOut);
+      else
+        std::erase_if(Out, [&](const std::string &V) {
+          return !KidOut.count(V);
+        });
+    }
+    return Out;
+  }
+  case Formula::Kind::FK_Label:
+    if (F.LabelName == "computes") {
+      collectMetaKinds(F.Args[0], Enumerates);
+      break;
+    }
+    if (F.LabelName == "stmt" || Registry.isAnalysisLabel(F.LabelName))
+      break;
+    [[fallthrough]];
+  case Formula::Kind::FK_Not:
+  case Formula::Kind::FK_Eq:
+  case Formula::Kind::FK_Case:
+    collectFreeMetas(F, Enumerates);
+    break;
+  }
+  for (const auto &Var : Enumerates)
+    if (!MayBound.count(Var.first))
+      Out.insert(Var.first);
+  std::vector<std::pair<std::string, MetaKind>> Frees;
+  collectFreeMetas(F, Frees);
+  for (const auto &Var : Frees)
+    MayBound.insert(Var.first);
+  return Out;
+}
+
 } // namespace
 
 GuardSolution engine::solveGuard(Direction Dir, const Guard &Gd,
                                  const Cfg &G,
                                  const LabelRegistry &Registry,
-                                 const Labeling *AnalysisLabeling) {
+                                 const Labeling *AnalysisLabeling,
+                                 const std::set<Substitution> &Seeds) {
   const Procedure &P = G.proc();
   int N = G.size();
   DirectedView View{G, Dir};
@@ -102,18 +163,57 @@ GuardSolution engine::solveGuard(Direction Dir, const Guard &Gd,
     return NodeContext{&P, I, &Registry, AnalysisLabeling, &Univ};
   };
 
-  // GEN(n): substitutions making ψ1 true at n. U = ∪ GEN is the finite
-  // universe of facts. Each fact is interned once, by hash (a
-  // node-independent ψ1 generates all of U at every node), and its id is
-  // its rank in Substitution order, so walking set bits upward visits
-  // facts in std::set order.
+  // GEN(n): the facts that make ψ1 true at n and agree with a seed. A
+  // seed saves work only on a variable satisfyFormula would otherwise
+  // enumerate over the universe; one that ψ1 may bind by matching n's
+  // statement is mostly fixed by n already, and seeding it would
+  // multiply the calls by the number of seeds. So satisfyFormula runs
+  // once per distinct seed restricted to the always-enumerated
+  // variables, and when that restriction dropped a variable its results
+  // are filtered against the full seeds.
+  std::set<std::string> MayBound;
+  const std::set<std::string> Enumerated =
+      alwaysEnumerated(*Gd.Psi1, Registry, MayBound);
+  std::set<Substitution> Calls;
+  bool Filter = false;
+  for (const Substitution &Seed : Seeds) {
+    Substitution Call;
+    for (const auto &[Name, B] : Seed)
+      if (Enumerated.count(Name))
+        Call.bind(Name, B);
+      else
+        Filter = true;
+    Calls.insert(std::move(Call));
+  }
+  // A fact that binds every seed variable agrees with a seed when its
+  // restriction is one; a fact that leaves some unbound (a disjunct that
+  // never mentions it) is checked against each seed.
+  auto agreesWithSeed = [&](const Substitution &S) {
+    if (!Filter)
+      return true;
+    Substitution Proj;
+    for (const auto &Seed : *Seeds.begin())
+      if (const Binding *B = S.lookup(Seed.first))
+        Proj.bind(Seed.first, *B);
+    if (Proj.size() == Seeds.begin()->size())
+      return Seeds.count(Proj) > 0;
+    return std::any_of(Seeds.begin(), Seeds.end(),
+                       [&](Substitution Seed) { return Seed.merge(Proj); });
+  };
+
+  // U = ∪ GEN is the finite universe of facts. Each fact is interned
+  // once, by hash (a node-independent ψ1 generates all of U at every
+  // node), and its id is its rank in Substitution order, so walking set
+  // bits upward visits facts in std::set order.
   std::unordered_map<Substitution, size_t, SubstitutionHash> Interned;
   std::vector<std::pair<int, const size_t *>> GenSites; // (node, &id)
   for (int I = 0; I < N; ++I)
     if (Live[I])
-      for (Substitution &S : satisfyFormula(*Gd.Psi1, makeCtx(I), {}))
-        GenSites.emplace_back(I, &Interned.try_emplace(std::move(S))
-                                      .first->second);
+      for (const Substitution &Call : Calls)
+        for (Substitution &S : satisfyFormula(*Gd.Psi1, makeCtx(I), Call))
+          if (agreesWithSeed(S))
+            GenSites.emplace_back(I, &Interned.try_emplace(std::move(S))
+                                          .first->second);
   std::vector<std::pair<const Substitution, size_t> *> ByRank;
   for (auto &Entry : Interned)
     ByRank.push_back(&Entry);
@@ -293,6 +393,7 @@ GuardSolution engine::solveGuard(Direction Dir, const Guard &Gd,
 
   if (support::Telemetry *T = support::Telemetry::active()) {
     T->Metrics.add("dataflow.solves");
+    T->Metrics.add("dataflow.universe", Facts.size());
     T->Metrics.add("dataflow.fixpoint_iters", Sol.Iterations);
     T->Metrics.add("dataflow.meet_dropped", MeetDropped);
     T->Metrics.add("dataflow.psi2_dropped", Psi2Dropped);

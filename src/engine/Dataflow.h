@@ -25,6 +25,19 @@
 /// with (ι, θ) ∈ [[ψ1 followed by ψ2]](p) — evaluating all "instances" of
 /// the guard simultaneously, exactly as §5.2 describes.
 ///
+/// GEN may be seeded: GEN(n) keeps only the facts that agree with one of
+/// a set of seeds (bind none of its variables differently), which bind
+/// only ψ1's free variables. The analysis is
+/// separable per fact (OUT = GEN ∪ {θ ∈ IN : ψ2}, an ∩ meet, ψ2's
+/// variables bound by ψ1), so no fact's presence depends on another's,
+/// and the seeded solution is exactly the unseeded one restricted to
+/// those facts. satisfyFormula returns exactly the extensions of its
+/// seed, so the solver passes it the seeds restricted to the variables
+/// it would otherwise enumerate over the universe on every path, and
+/// filters its results against the full seeds. The single empty seed is
+/// the unseeded solve; engine::computeDelta seeds with the site
+/// bindings of s.
+///
 /// The universe U = ∪ GEN is known before the fixpoint starts, so each
 /// substitution is interned once per solve into a dense id: its rank in
 /// Substitution order. GEN, IN, OUT and the matching points are uint64_t
@@ -64,10 +77,15 @@ struct GuardSolution {
 /// Solves [[ψ1 followed by ψ2]] (Dir == D_Forward) or
 /// [[ψ1 preceded by ψ2]] (Dir == D_Backward) over \p G's procedure.
 /// \p Registry and \p AnalysisLabeling supply label semantics (the
-/// labeling may be null when no pure analyses ran).
+/// labeling may be null when no pure analyses ran). GEN keeps only the
+/// facts that agree with one of \p Seeds, which must all bind the same
+/// variables, all free in ψ1; the default, one empty seed, keeps every
+/// fact.
 GuardSolution solveGuard(Direction Dir, const Guard &Gd, const ir::Cfg &G,
                          const LabelRegistry &Registry,
-                         const Labeling *AnalysisLabeling);
+                         const Labeling *AnalysisLabeling,
+                         const std::set<Substitution> &Seeds = {
+                             Substitution()});
 
 } // namespace engine
 } // namespace cobalt

@@ -10,6 +10,7 @@
 #include "ir/Cfg.h"
 #include "support/Errors.h"
 #include "support/FaultInjection.h"
+#include "support/Telemetry.h"
 
 #include <cassert>
 #include <set>
@@ -23,16 +24,45 @@ std::vector<MatchSite> engine::computeDelta(const TransformationPattern &Pat,
                                             const LabelRegistry &Registry,
                                             const Labeling *AnalysisLabeling,
                                             RunStats *Stats) {
+  // Sites first. A fact reaches Δ at ι only if it extends to a match of
+  // s against stmt(ι), so it agrees with ι's site binding; the solve is
+  // seeded with the distinct site bindings projected onto ψ1's free
+  // variables (Dataflow.h), and a pass with no site needs no solve.
+  std::vector<std::pair<std::string, MetaKind>> Psi1Frees;
+  collectFreeMetas(*Pat.G.Psi1, Psi1Frees);
+  std::vector<std::pair<int, Substitution>> Sites;
+  std::set<Substitution> Seeds;
+  for (int I = 0; I < P.size(); ++I) {
+    Substitution Site;
+    if (!matchStmt(Pat.From, P.stmtAt(I), Site))
+      continue;
+    Substitution Seed;
+    for (const auto &Free : Psi1Frees)
+      if (const Binding *B = Site.lookup(Free.first))
+        Seed.bind(Free.first, *B);
+    Seeds.insert(std::move(Seed));
+    Sites.emplace_back(I, std::move(Site));
+  }
+  if (Sites.empty()) {
+    support::metricAdd("engine.passes_unmatched");
+    if (Stats)
+      Stats->DeltaSize = Stats->FixpointIters = 0;
+    return {};
+  }
+
   Cfg G(P);
   GuardSolution Sol =
-      solveGuard(Pat.Dir, Pat.G, G, Registry, AnalysisLabeling);
+      solveGuard(Pat.Dir, Pat.G, G, Registry, AnalysisLabeling, Seeds);
 
+  // Matching s is deterministic, so θ extends to a match of s at ι
+  // exactly when it agrees with ι's site binding, and the match is their
+  // union.
   std::vector<MatchSite> Delta;
-  for (int I = 0; I < P.size(); ++I) {
+  for (const auto &[I, Site] : Sites) {
     std::set<Substitution> Seen;
     for (const Substitution &Theta : Sol.AtNode[I]) {
-      Substitution Extended = Theta;
-      if (!matchStmt(Pat.From, P.stmtAt(I), Extended))
+      Substitution Extended = Site;
+      if (!Extended.merge(Theta))
         continue;
       if (Seen.insert(Extended).second)
         Delta.push_back({I, Extended});

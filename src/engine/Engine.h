@@ -41,7 +41,12 @@ struct RunStats {
 
 /// Computes Δ = [[O_pat]](p): all (ι, θ) where the guard holds at ι and
 /// θ extends to a match of s against stmtAt(p, ι). Results are sorted
-/// (index, then substitution) for determinism.
+/// (index, then substitution) for determinism. s is matched against
+/// every statement first: with no match Δ is empty and no guard is
+/// solved (counted as engine.passes_unmatched); otherwise the solve is
+/// seeded with the distinct site bindings projected onto ψ1's free
+/// variables, so it generates only facts some site can use. Δ equals
+/// the unseeded solve's.
 std::vector<MatchSite> computeDelta(const TransformationPattern &Pat,
                                     const ir::Procedure &P,
                                     const LabelRegistry &Registry,

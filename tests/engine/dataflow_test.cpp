@@ -7,6 +7,7 @@
 #include "engine/Dataflow.h"
 
 #include "core/Builder.h"
+#include "engine/Engine.h"
 #include "ir/Generator.h"
 #include "ir/Parser.h"
 #include "opts/Labels.h"
@@ -218,6 +219,39 @@ TEST_F(DataflowTest, UnreachableNodesGetNoFacts) {
   EXPECT_TRUE(Sol.AtNode[3].empty()); // unreachable x := a
 }
 
+/// Seeding keeps exactly the unseeded facts that agree with a seed: here
+/// [Y -> a, C -> 2] but not [Y -> b, C -> 3], and the empty fact from
+/// the `skip` disjunct, which never binds Y.
+TEST_F(DataflowTest, SeededSolveKeepsFactsThatAgreeWithASeed) {
+  Guard Gd{fOr(stmtIs("Y := C"), stmtIs("skip")), fTrue()};
+  GuardSolution Unseeded = solve(R"(
+    proc main(x) {
+      decl a;
+      decl b;
+      skip;
+      a := 2;
+      b := 3;
+      x := a;
+      return x;
+    }
+  )",
+                                 Gd, Direction::D_Forward);
+  GuardSolution Seeded =
+      solveGuard(Direction::D_Forward, Gd, *G, Registry, nullptr,
+                 {subst({{"Y", Binding::var("a")}})});
+  ASSERT_EQ(Seeded.AtNode.size(), Unseeded.AtNode.size());
+  for (size_t I = 0; I < Unseeded.AtNode.size(); ++I) {
+    std::set<Substitution> Agreeing;
+    for (const Substitution &Theta : Unseeded.AtNode[I])
+      if (!Theta.isBound("Y") || Theta.lookup("Y")->asVar() == "a")
+        Agreeing.insert(Theta);
+    EXPECT_EQ(Seeded.AtNode[I], Agreeing) << "node " << I;
+  }
+  EXPECT_TRUE(Seeded.AtNode[5].count(Substitution()));
+  EXPECT_EQ(Unseeded.AtNode[5].size(), 3u);
+  EXPECT_EQ(Seeded.AtNode[5].size(), 2u);
+}
+
 /// The solve-shape counters of one guard solve, read from a telemetry
 /// session of its own, plus Σ|AtNode|.
 struct SolveShape {
@@ -265,6 +299,64 @@ TEST_F(DataflowTest, SolveShapeCountersArePinned) {
   EXPECT_EQ(Bwd.MeetDropped, 88u);
   EXPECT_EQ(Bwd.Psi2Dropped, 62u);
   EXPECT_EQ(Bwd.Facts, 317u);
+}
+
+/// The universe and matching-point counters of one computeDelta (seeded
+/// by its sites) and of the unseeded solve, each read from a telemetry
+/// session of its own.
+struct SeedShape {
+  uint64_t Universe, AtNode, Unmatched;
+};
+
+SeedShape seedShape(const Optimization &O, const Procedure &P,
+                    const LabelRegistry &Registry, bool Seeded) {
+  support::Telemetry T;
+  support::TelemetryScope Scope(&T);
+  if (Seeded) {
+    computeDelta(O.Pat, P, Registry, nullptr);
+  } else {
+    Cfg G(P);
+    solveGuard(O.Pat.Dir, O.Pat.G, G, Registry, nullptr);
+  }
+  return {T.Metrics.counter("dataflow.universe"),
+          static_cast<uint64_t>(
+              T.Metrics.histogram("dataflow.subst_set_size").Sum),
+          T.Metrics.counter("engine.passes_unmatched")};
+}
+
+/// Pins what seeding GEN with the sites of s saves on the same body:
+/// Σ|U| (dataflow.universe), Σ|AtNode| (Σ dataflow.subst_set_size) and
+/// engine.passes_unmatched, seeded by computeDelta and unseeded.
+TEST_F(DataflowTest, SiteSeededCountersArePinned) {
+  GenOptions Options;
+  Options.NumStmts = 25;
+  Options.WithPointers = true;
+  Prog = generateProgram(Options, /*Seed=*/12);
+  const Procedure &Main = *Prog.findProc("main");
+  ASSERT_EQ(Main.size(), 106);
+
+  struct Pin {
+    Optimization O;
+    SeedShape Seeded, Unseeded;
+  };
+  // const_fold_add has no site here, so no solve runs; const_prop's
+  // seeds keep one of its seven facts; every assignment is a site of
+  // cse and dead_assign_elim, so seeding keeps all of theirs.
+  for (const Pin &Expect : {
+           Pin{opts::constFoldAdd(), {0, 0, 1}, {324, 34020, 0}},
+           Pin{opts::constProp(), {1, 9, 0}, {7, 11, 0}},
+           Pin{opts::cse(), {46, 236, 0}, {46, 236, 0}},
+           Pin{opts::deadAssignElim(), {15, 317, 0}, {15, 317, 0}},
+       }) {
+    SeedShape S = seedShape(Expect.O, Main, Registry, /*Seeded=*/true);
+    SeedShape U = seedShape(Expect.O, Main, Registry, /*Seeded=*/false);
+    EXPECT_EQ(S.Universe, Expect.Seeded.Universe) << Expect.O.Name;
+    EXPECT_EQ(S.AtNode, Expect.Seeded.AtNode) << Expect.O.Name;
+    EXPECT_EQ(S.Unmatched, Expect.Seeded.Unmatched) << Expect.O.Name;
+    EXPECT_EQ(U.Universe, Expect.Unseeded.Universe) << Expect.O.Name;
+    EXPECT_EQ(U.AtNode, Expect.Unseeded.AtNode) << Expect.O.Name;
+    EXPECT_EQ(U.Unmatched, Expect.Unseeded.Unmatched) << Expect.O.Name;
+  }
 }
 
 TEST_F(DataflowTest, FixpointIterationCountReported) {

@@ -7,9 +7,12 @@
 #include "engine/Engine.h"
 
 #include "core/Builder.h"
+#include "core/Match.h"
+#include "ir/Generator.h"
 #include "ir/Interp.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
+#include "opts/Buggy.h"
 #include "opts/Labels.h"
 #include "opts/Optimizations.h"
 
@@ -531,6 +534,90 @@ TEST_F(EngineTest, TaintAnalysisLabelsUntaintedVars) {
   EXPECT_TRUE(Labels[4].count(NotTaintedB));
   // Before the address-taking (node 3), a is still untainted.
   EXPECT_TRUE(Labels[3].count(NotTaintedA));
+}
+
+/// Δ from the unseeded solve: every fact at every node, extended by a
+/// match of s — computeDelta's definition before it matched sites first.
+std::vector<MatchSite> unseededDelta(const TransformationPattern &Pat,
+                                     const Procedure &P,
+                                     const LabelRegistry &Registry,
+                                     const Labeling *L) {
+  Cfg G(P);
+  GuardSolution Sol = solveGuard(Pat.Dir, Pat.G, G, Registry, L);
+  std::vector<MatchSite> Delta;
+  for (int I = 0; I < P.size(); ++I) {
+    std::set<Substitution> Seen;
+    for (const Substitution &Theta : Sol.AtNode[I]) {
+      Substitution Extended = Theta;
+      if (matchStmt(Pat.From, P.stmtAt(I), Extended) &&
+          Seen.insert(Extended).second)
+        Delta.push_back({I, std::move(Extended)});
+    }
+  }
+  return Delta;
+}
+
+/// Site-seeded solving is exact: over a generated corpus with pointers,
+/// gotos, returns in loops, helper calls and bait/alias pressure, every
+/// sound and buggy rule's computeDelta equals the unseeded Δ on every
+/// procedure, with and without the analyses' labeling.
+TEST_F(EngineTest, SiteSeededDeltaEqualsUnseeded) {
+  std::vector<PureAnalysis> Analyses = opts::allAnalyses();
+  std::vector<Optimization> Rules = opts::allOptimizations();
+  for (opts::BuggyCase &Case : opts::allBuggyOptimizations())
+    Rules.push_back(std::move(Case.Opt));
+
+  // The pass manager's registry: analyses' labels first, then the
+  // rule's own (a name keeps its first definition).
+  auto define = [](LabelRegistry &R, const std::vector<LabelDef> &Defs) {
+    for (const LabelDef &Def : Defs)
+      if (!R.findPredicate(Def.Name))
+        R.define(Def);
+  };
+  LabelRegistry AnalysisRegistry;
+  for (const PureAnalysis &A : Analyses) {
+    define(AnalysisRegistry, A.Labels);
+    AnalysisRegistry.declareAnalysisLabel(A.LabelName);
+  }
+  std::vector<LabelRegistry> RuleRegistries;
+  for (const Optimization &O : Rules) {
+    RuleRegistries.push_back(AnalysisRegistry);
+    define(RuleRegistries.back(), O.Labels);
+  }
+
+  unsigned Compared = 0, NonEmpty = 0;
+  for (uint64_t Seed = 1; Seed <= 16; ++Seed) {
+    GenOptions Options;
+    Options.NumStmts = 10 + Seed % 4 * 3;
+    Options.NumVars = 4;
+    Options.WithPointers = Seed % 4 != 0;
+    Options.WithGotos = Seed % 2 == 0;
+    Options.WithReturnInLoop = Seed % 3 == 0;
+    Options.WithCalls = Seed % 4 == 1;
+    Options.NumHelperProcs = Options.WithCalls ? 1 : 0;
+    Options.AliasPressure = Options.WithPointers ? 30 : 0;
+    Options.BaitPressure = 40;
+    Program Prog = generateProgram(Options, Seed);
+    for (const Procedure &P : Prog.Procs) {
+      Labeling Labels;
+      for (const PureAnalysis &A : Analyses)
+        runPureAnalysis(A, P, AnalysisRegistry, Labels);
+      for (size_t R = 0; R < Rules.size(); ++R)
+        for (const Labeling *L : {static_cast<const Labeling *>(nullptr),
+                                  static_cast<const Labeling *>(&Labels)}) {
+          const Optimization &O = Rules[R];
+          std::vector<MatchSite> Seeded =
+              computeDelta(O.Pat, P, RuleRegistries[R], L);
+          ASSERT_EQ(Seeded, unseededDelta(O.Pat, P, RuleRegistries[R], L))
+              << O.Name << " on " << P.Name << " of seed " << Seed
+              << (L ? " (labeled)" : "");
+          ++Compared;
+          NonEmpty += !Seeded.empty();
+        }
+    }
+  }
+  // The corpus must exercise the rules, not just agree on empty Δs.
+  EXPECT_GT(NonEmpty, Compared / 4) << NonEmpty << " of " << Compared;
 }
 
 } // namespace
