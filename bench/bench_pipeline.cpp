@@ -33,14 +33,14 @@ Program makeProgram(unsigned Stmts, uint64_t Seed) {
 
 void BM_PrePipeline(benchmark::State &State) {
   Program Prog = makeProgram(static_cast<unsigned>(State.range(0)), 7);
+  PassManager PM;
+  PM.addOptimization(opts::preDuplicate());
+  PM.addOptimization(opts::cse());
+  PM.addOptimization(opts::selfAssignRemoval());
   uint64_t Applied = 0;
   for (auto _ : State) {
     State.PauseTiming();
     Program Copy = Prog;
-    PassManager PM;
-    PM.addOptimization(opts::preDuplicate());
-    PM.addOptimization(opts::cse());
-    PM.addOptimization(opts::selfAssignRemoval());
     State.ResumeTiming();
     for (const PassReport &R : PM.run(Copy))
       Applied += R.AppliedCount;
@@ -53,15 +53,15 @@ BENCHMARK(BM_PrePipeline)->Arg(25)->Arg(100)->Arg(400);
 
 void BM_FullSuite(benchmark::State &State) {
   Program Prog = makeProgram(static_cast<unsigned>(State.range(0)), 11);
+  PassManager PM;
+  for (PureAnalysis &A : opts::allAnalyses())
+    PM.addAnalysis(std::move(A));
+  for (Optimization &O : opts::allOptimizations())
+    PM.addOptimization(std::move(O));
   uint64_t Applied = 0;
   for (auto _ : State) {
     State.PauseTiming();
     Program Copy = Prog;
-    PassManager PM;
-    for (PureAnalysis &A : opts::allAnalyses())
-      PM.addAnalysis(std::move(A));
-    for (Optimization &O : opts::allOptimizations())
-      PM.addOptimization(std::move(O));
     State.ResumeTiming();
     for (const PassReport &R : PM.run(Copy))
       Applied += R.AppliedCount;

@@ -10,15 +10,14 @@
 /// notTainted labels and contrast plain constant propagation (killed by
 /// the pointer store) with the precise variant (survives it).
 ///
-/// Nothing here is proven, so the example drives the engine's
-/// `PassManager` directly: it registers the labels and the analysis,
-/// runs it, and reads the per-node labeling back with labelingFor(). The
-/// contrast at the end calls the engine's free functions.
+/// Nothing here is proven, so the example drives the engine directly: it
+/// registers the labels, runs the analysis with runPureAnalysis(), which
+/// fills in the per-node labeling, and calls runOptimization() for the
+/// contrast at the end.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "engine/Engine.h"
-#include "engine/PassManager.h"
 #include "ir/Parser.h"
 #include "ir/Printer.h"
 #include "opts/Labels.h"
@@ -30,10 +29,11 @@ using namespace cobalt;
 using namespace cobalt::engine;
 
 int main() {
-  PassManager PM;
+  LabelRegistry Registry;
   for (const LabelDef &Def : opts::standardLabels())
-    PM.defineLabel(Def);
-  PM.addAnalysis(opts::taintAnalysis()); // declares the notTainted label
+    Registry.define(Def);
+  PureAnalysis Taint = opts::taintAnalysis();
+  Registry.declareAnalysisLabel(Taint.LabelName); // notTainted
 
   ir::Program Prog = ir::parseProgramOrDie(R"(
     proc main(x) {
@@ -53,9 +53,10 @@ int main() {
               ir::toString(Prog).c_str());
 
   // Run the pure analysis and show its labeling of the CFG (§3.2.3).
-  std::vector<PassReport> Reports = PM.run(Prog);
-  const Labeling &Labels = *PM.labelingFor("main");
-  std::printf("taint analysis added %u labels:\n", Reports.front().DeltaSize);
+  Labeling Labels;
+  RunStats Stats;
+  runPureAnalysis(Taint, Main, Registry, Labels, &Stats);
+  std::printf("taint analysis added %u labels:\n", Stats.DeltaSize);
   for (int I = 0; I < Main.size(); ++I) {
     std::printf("  %2d: %-18s", I,
                 ir::toString(Main.stmtAt(I)).c_str());
@@ -69,7 +70,7 @@ int main() {
   {
     ir::Program P1 = Prog;
     RunStats S1 = runOptimization(opts::constProp(), *P1.findProc("main"),
-                                  PM.registry(), nullptr);
+                                  Registry, nullptr);
     std::printf("\nconservative const_prop: %u rewrite(s) "
                 "(*p := x may define a)\n",
                 S1.AppliedCount);
@@ -77,7 +78,7 @@ int main() {
     ir::Program P2 = Prog;
     RunStats S2 =
         runOptimization(opts::constPropPrecise(), *P2.findProc("main"),
-                        PM.registry(), &Labels);
+                        Registry, &Labels);
     std::printf("precise const_prop_precise: %u rewrite(s):\n%s",
                 S2.AppliedCount, ir::toString(P2).c_str());
   }

@@ -99,8 +99,6 @@ void api::emitPipelineJson(std::string &Out,
       Out += ", \"detail\": \"" + jsonEscape(R.Err.Message) + "\"";
     Out += ", \"rolled_back\": ";
     Out += R.RolledBack ? "true" : "false";
-    Out += ", \"quarantined\": ";
-    Out += R.Quarantined ? "true" : "false";
     Out += "}";
   }
   Out += "\n  ]";

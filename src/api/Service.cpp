@@ -52,7 +52,7 @@ void api::preregisterHeadlineCounters(support::Telemetry &T) {
       "engine.procs",
       "engine.passes",           "engine.rewrites",
       "engine.rollbacks",        "engine.pass_failures",
-      "engine.quarantine_skips", "engine.passes_unmatched",
+      "engine.label_replays",    "engine.passes_unmatched",
       "dataflow.solves",         "dataflow.universe",
       "dataflow.fixpoint_iters", "dataflow.meet_dropped",
       "dataflow.psi2_dropped",   "fuzz.runs",
@@ -77,8 +77,8 @@ void api::preregisterHeadlineCounters(support::Telemetry &T) {
 
 CobaltService::Builder &
 CobaltService::Builder::addModule(CobaltModule Module) {
-  for (const LabelDef &Def : Module.Labels)
-    Labels.push_back(Def);
+  for (LabelDef &Def : Module.Labels)
+    Labels.push_back(std::move(Def));
   for (PureAnalysis &A : Module.Analyses)
     Analyses.push_back(std::move(A));
   for (Optimization &O : Module.Optimizations)
@@ -98,21 +98,22 @@ std::shared_ptr<CobaltService> CobaltService::Builder::build() {
 // Construction.
 //===----------------------------------------------------------------------===//
 
-CobaltService::CobaltService(CobaltConfig C, std::vector<LabelDef> Ls,
+CobaltService::CobaltService(CobaltConfig C, std::vector<LabelDef> Labels,
                              std::vector<PureAnalysis> As,
                              std::vector<Optimization> Os)
-    : Config(std::move(C)), Labels(std::move(Ls)), Analyses(std::move(As)),
-      Optimizations(std::move(Os)),
+    : Config(std::move(C)),
       Pool(std::make_unique<support::ThreadPool>(Config.Jobs)),
       Store(std::make_shared<checker::VerdictStore>()) {
-  // The master registry: every per-request checker references it, so it
-  // must carry all labels + declared analysis labels before requests run.
+  // Labels first, then analyses, then optimizations: the pipeline order,
+  // and a registry that carries every label and declared analysis label
+  // before any request runs.
+  Pipeline.setTxPolicy(Config.Tx);
   for (const LabelDef &Def : Labels)
-    RegistryPM.defineLabel(Def);
-  for (const PureAnalysis &A : Analyses)
-    RegistryPM.addAnalysis(A);
-  for (const Optimization &O : Optimizations)
-    RegistryPM.addOptimization(O);
+    Pipeline.defineLabel(Def);
+  for (PureAnalysis &A : As)
+    Pipeline.addAnalysis(std::move(A));
+  for (Optimization &O : Os)
+    Pipeline.addOptimization(std::move(O));
 
   // The store's memory is what makes a warm daemon fast; its disk tier
   // is what makes a restarted one warm.
@@ -201,6 +202,8 @@ bool CobaltService::resolveTargets(const checker::SoundnessChecker &Checker,
         return true;
     return false;
   };
+  const std::vector<PureAnalysis> &Analyses = analyses();
+  const std::vector<Optimization> &Optimizations = optimizations();
   std::set<std::string> Seen;
   for (size_t I = 0; I < Analyses.size(); ++I)
     if (Wanted(Analyses[I].Name)) {
@@ -252,7 +255,7 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
   // The request's checker fingerprints the targets, lowers the ones this
   // request leads and proves them. The service claims and settles those
   // verdicts itself, so the lowered sets are not Cacheable.
-  checker::SoundnessChecker Checker(RegistryPM.registry(), Analyses);
+  checker::SoundnessChecker Checker(registry(), analyses());
   configureChecker(Checker, Req.Jobs, Req.BudgetMs, Req.FaultKeySalt);
 
   CheckResponse Resp;
@@ -283,8 +286,8 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
       Leaders.push_back(I);
       Leads.push_back(
           T.IsAnalysis
-              ? Checker.lower(Analyses[T.Index], T.Fingerprint)
-              : Checker.lower(Optimizations[T.Index], T.Fingerprint));
+              ? Checker.lower(analyses()[T.Index], T.Fingerprint)
+              : Checker.lower(optimizations()[T.Index], T.Fingerprint));
       Leads.back().Cacheable = false;
       Estimate += Leads.back().Obligations.size();
     }
@@ -496,7 +499,7 @@ ValidateResponse CobaltService::validate(ValidateRequest Req) {
       validate::fingerprintPair(Req.Original, Req.Candidate, Req.Options));
   const bool Leads = Claim.leads();
   if (Leads) {
-    checker::SoundnessChecker Checker(RegistryPM.registry(), Analyses);
+    checker::SoundnessChecker Checker(registry(), analyses());
     configureChecker(Checker, Req.Jobs, Req.BudgetMs, Req.FaultKeySalt);
 
     support::TraceSpan Prove("service", "validate.prove");
@@ -551,28 +554,17 @@ PipelineResponse CobaltService::run(PipelineRequest Req) {
   support::metricAdd("service.requests.run");
   support::TraceSpan Span("service", "pipeline");
 
-  // A fresh PassManager per request: quarantine state and failure
-  // counters are request-local, so one client's dying pass cannot poison
-  // another client's pipeline — and reports stay byte-deterministic
-  // because each request starts from the same registration state.
-  engine::PassManager PM;
-  PM.setTxPolicy(Config.Tx);
-  PM.setThreadPool(Req.Jobs == 1 ? nullptr : Pool.get());
-  for (const LabelDef &Def : Labels)
-    PM.defineLabel(Def);
-  for (const PureAnalysis &A : Analyses)
-    PM.addAnalysis(A);
-  for (const Optimization &O : Optimizations)
-    PM.addOptimization(O);
-
+  // Jobs == 1 means genuinely sequential on the calling thread, as in
+  // configureChecker.
+  support::ThreadPool *Lanes = Req.Jobs == 1 ? nullptr : Pool.get();
   PipelineResponse Resp;
-  std::vector<engine::PassReport> Reports =
-      Req.SelectedOnly ? PM.runSelected(Req.PassNames, Req.Prog)
-                       : PM.run(Req.Prog);
-  Resp.Result.Reports = std::move(Reports);
-  for (const engine::PassReport &R : Resp.Result.Reports)
+  Resp.Result.Reports =
+      Req.SelectedOnly ? Pipeline.runSelected(Req.PassNames, Req.Prog, Lanes)
+                       : Pipeline.run(Req.Prog, Lanes);
+  for (const engine::PassReport &R : Resp.Result.Reports) {
     Resp.Result.Applied += R.AppliedCount;
-  Resp.Result.Degraded = PM.lastRunDegraded();
+    Resp.Result.Degraded |= R.failed();
+  }
   Resp.Prog = std::move(Req.Prog);
   return Resp;
 }

@@ -25,11 +25,11 @@
 /// \endcode
 ///
 ///  * **CobaltService** — everything that is expensive and shareable,
-///    frozen at build() time: the registered definitions and label
-///    registry, the thread pool, the verdict store, and the telemetry
-///    session. One service, many concurrent callers; after build()
-///    nothing about it mutates except memos and counters (all internally
-///    synchronized).
+///    frozen at build() time: the pipeline (one engine::PassManager that
+///    holds the registered definitions and the label registry), the
+///    thread pool, the verdict store, and the telemetry session. One
+///    service, many concurrent callers; after build() nothing about it
+///    mutates except memos and counters (all internally synchronized).
 ///
 ///  * **CheckRequest / PipelineRequest** — cheap per-call value types.
 ///    Each carries its *own* jobs / budget / fault-key overrides, so two
@@ -152,7 +152,7 @@ struct SuiteResult {
 struct PipelineResult {
   std::vector<engine::PassReport> Reports; ///< (pass, procedure) order.
   unsigned Applied = 0; ///< Total rewrites across all reports.
-  bool Degraded = false; ///< Any failure / rollback / quarantine skip.
+  bool Degraded = false; ///< Some report failed (and was rolled back).
 };
 
 /// Three-way request outcome. Retry is admission control speaking: the
@@ -250,11 +250,12 @@ struct ValidateResponse {
 };
 
 /// The immutable, shareable verification service. Build once (via
-/// Builder), then issue requests from any number of threads; per-request
-/// state (checkers, pass managers) is constructed fresh inside each call
-/// and the shared state (verdict store, validation memo, counters) is
-/// internally synchronized. `cobaltd` serves exactly this object over a
-/// socket; in-process embedders call it directly.
+/// Builder), then issue requests from any number of threads: checkers
+/// are constructed fresh inside each call, every pipeline request runs
+/// on the one PassManager built at build() (a run writes only its own
+/// program), and the shared state (verdict store, validation memo,
+/// counters) is internally synchronized. `cobaltd` serves exactly this
+/// object over a socket; in-process embedders call it directly.
 class CobaltService {
 public:
   class Builder;
@@ -273,9 +274,8 @@ public:
   /// concurrent and earlier requests through the verdict store.
   CheckResponse check(const CheckRequest &Req);
 
-  /// Runs the registered pipeline over the request's program on a fresh
-  /// per-request PassManager (quarantine state is per-request: one
-  /// caller's failing pass never poisons another's pipeline).
+  /// Runs the registered pipeline over the request's program on the
+  /// service's PassManager.
   PipelineResponse run(PipelineRequest Req);
 
   /// Translation-validates the request's candidate program against its
@@ -295,13 +295,15 @@ public:
 
   /// \name Introspection.
   /// @{
-  const LabelRegistry &registry() const { return RegistryPM.registry(); }
-  const std::vector<PureAnalysis> &analyses() const { return Analyses; }
+  const LabelRegistry &registry() const { return Pipeline.registry(); }
+  const std::vector<PureAnalysis> &analyses() const {
+    return Pipeline.analyses();
+  }
   const std::vector<Optimization> &optimizations() const {
-    return Optimizations;
+    return Pipeline.optimizations();
   }
   size_t definitionCount() const {
-    return Analyses.size() + Optimizations.size();
+    return analyses().size() + optimizations().size();
   }
   support::ThreadPool &pool() { return *Pool; }
   /// The service's verdict store (memory, plus the disk tier when
@@ -331,10 +333,10 @@ private:
   CobaltService(CobaltConfig C, std::vector<LabelDef> Labels,
                 std::vector<PureAnalysis> As, std::vector<Optimization> Os);
 
-  /// One definition to prove, resolved against the registered vectors.
+  /// One definition to prove, resolved against the registered passes.
   struct Target {
     bool IsAnalysis;
-    size_t Index; ///< Into Analyses or Optimizations.
+    size_t Index; ///< Into analyses() or optimizations().
     uint64_t Fingerprint;
   };
 
@@ -346,13 +348,9 @@ private:
                         int64_t BudgetMs, uint64_t FaultKeySalt) const;
 
   CobaltConfig Config;
-  /// Registry holder: the per-request pass managers and checkers are
-  /// built from the vectors below; RegistryPM's registry is the master
-  /// the checkers reference (it outlives every request).
-  engine::PassManager RegistryPM;
-  std::vector<LabelDef> Labels;
-  std::vector<PureAnalysis> Analyses;
-  std::vector<Optimization> Optimizations;
+  /// The registered definitions, each held once: pipeline requests run
+  /// on it, and its registry is the one every checker references.
+  engine::PassManager Pipeline;
   std::unique_ptr<support::ThreadPool> Pool;
   std::shared_ptr<checker::VerdictStore> Store;
   std::unique_ptr<support::Telemetry> Telem;

@@ -22,7 +22,6 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <sstream>
 
 using namespace cobalt;
@@ -927,19 +926,11 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
         0, static_cast<int64_t>(Policy.BudgetMs) - Elapsed);
   };
 
-  // Under DM_InProcess, obligations quarantined by the pool are deferred
-  // here and rerun in-process *after* the pool stops: running Z3 on a
-  // parent thread while the pool can still fork replacements would let a
-  // forked child inherit a mid-flight allocator or solver lock and
-  // wedge until the watchdog reaps it.
-  std::mutex DeferredMutex;
-  std::vector<size_t> Deferred;
-
   // The one per-obligation runner: trace span, budget check, dispatch
   // (in-process, or on the job's lane's worker), record. The span carries
   // deterministic args only (verdict, attempts, rlimit — wall time lives
   // in the span duration, which equivalence tests ignore).
-  auto Run = [&](size_t Idx, bool InProcess) {
+  auto Run = [&](size_t Idx) {
     auto [CI, OI] = Flat[Idx];
     PreparedCheck &PC = Checks[CI];
     const std::string &Name = PC.Set->Obligations[OI].Name;
@@ -959,48 +950,28 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
     int64_t Left = BudgetLeft(PC);
     if (Left == 0) {
       Result = budgetExhausted(Name);
-    } else if (InProcess) {
+    } else if (!Workers) {
       support::ScopedFaultKey JobKey(FaultKey);
       Result = Discharge(Idx, Left);
     } else {
       // The worker child opens the fault scope (per request, so retried
       // obligations redraw the same decisions); the parent supervises.
+      // An obligation whose workers keep dying comes back
+      // unknown(EK_WorkerCrash): quarantined, never rerun in-process.
       unsigned Lane = Pool ? support::ThreadPool::currentLane() : 0;
       Result = Workers->run(Lane, Idx, Name, FaultKey, Left, SuiteTraceId);
-      if (Result.Err.Kind == ErrorKind::EK_WorkerCrash &&
-          Policy.Degraded == DegradedMode::DM_InProcess) {
-        // Opt-in last resort: answer beats isolation. Deferred past the
-        // pool's lifetime (see above); the rerun records the result.
-        std::lock_guard<std::mutex> Lock(DeferredMutex);
-        Deferred.push_back(Idx);
-        return;
-      }
     }
     recordObligation(Result, Span);
   };
 
   // Without a pool, jobs run in index order on this thread (lane 0) —
   // exactly the sequential checker, as on a width-1 pool.
-  auto ForEach = [this](size_t N, const std::function<void(size_t)> &F) {
-    if (Pool)
-      Pool->parallelFor(N, F);
-    else
-      for (size_t I = 0; I < N; ++I)
-        F(I);
-  };
-  ForEach(Flat.size(), [&](size_t I) { Run(I, /*InProcess=*/!Workers); });
+  if (Pool)
+    Pool->parallelFor(Flat.size(), Run);
+  else
+    for (size_t I = 0; I < Flat.size(); ++I)
+      Run(I);
 
-  if (Workers) {
+  if (Workers)
     Workers->stop();
-    if (!Deferred.empty()) {
-      // worker.* fault sites live only in the worker loop, so injected
-      // crashes do not re-fire in-process — but a genuinely crashing
-      // prover now takes the pipeline down, which is what DM_InProcess
-      // trades for an answer.
-      std::sort(Deferred.begin(), Deferred.end());
-      support::metricAdd("worker.fallback_inprocess", Deferred.size());
-      ForEach(Deferred.size(),
-              [&](size_t I) { Run(Deferred[I], /*InProcess=*/true); });
-    }
-  }
 }

@@ -152,18 +152,6 @@ enum class WorkerIsolation {
   WI_Subprocess,
 };
 
-/// What becomes of an obligation whose workers keep dying on it.
-enum class DegradedMode {
-  /// Report it unknown(EK_WorkerCrash): the definition degrades to an
-  /// Unproven verdict (never cached), the run completes, and cobaltc
-  /// exits with the containment-degraded code.
-  DM_Quarantine,
-  /// Last resort: rerun the obligation in-process, trading isolation for
-  /// an answer. A *genuine* prover crash then takes the pipeline down —
-  /// only sensible when faults are known to be environmental.
-  DM_InProcess,
-};
-
 /// Resource policy for discharging obligations. Attempts escalate: the
 /// first runs at InitialTimeoutMs, each retry multiplies the timeout by
 /// 5, and the final attempt runs at the full TimeoutMs.
@@ -182,14 +170,16 @@ struct ProverPolicy {
   /// \name Worker isolation (meaningful under WI_Subprocess).
   /// @{
   WorkerIsolation Isolation = WorkerIsolation::WI_InProcess;
-  DegradedMode Degraded = DegradedMode::DM_Quarantine;
   /// Watchdog wall budget per obligation dispatch (ms); 0 derives a
   /// bound from the solver timeouts (2*TimeoutMs + slack).
   unsigned WorkerWallMs = 0;
   /// Watchdog rss-growth budget per obligation dispatch (MB);
   /// 0 = unwatched.
   unsigned WorkerRssMb = 0;
-  /// Fresh workers tried per obligation before it is quarantined.
+  /// Fresh workers tried per obligation before it is quarantined:
+  /// reported unknown(EK_WorkerCrash), so its definition degrades to an
+  /// Unproven verdict (never cached), the run completes, and cobaltc
+  /// exits with the containment-degraded code.
   unsigned WorkerRestarts = 2;
   /// @}
 };

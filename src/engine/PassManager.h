@@ -27,7 +27,6 @@
 #include "support/Telemetry.h"
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -52,50 +51,51 @@ struct PassReport {
   /// What failed and why (the unified support::Error carrier — the
   /// checker's ObligationResult and the parsers use the same shape).
   support::Error Err;
-  bool RolledBack = false;  ///< Snapshot restored after a failure.
-  bool Quarantined = false; ///< Pass skipped: quarantined by earlier
-                            ///< failures.
+  bool RolledBack = false; ///< Snapshot restored after a failure.
+  /// Always false: the pass manager skips no pass. Kept only because
+  /// perfbench/checks.cpp still reads it; remove it with that reader.
+  bool Quarantined = false;
   /// Optimization remarks for this (pass, procedure): one per applied
-  /// site, one per legal-but-missed site, and one rolled-back/missed
-  /// remark on failure or quarantine. Plain data, produced whether or not
-  /// a telemetry session is installed; ordering is deterministic (sites in
-  /// application / index order) and survives the procedure-order merge.
+  /// site, one per legal-but-missed site, and one rolled-back remark on
+  /// failure. Plain data, produced whether or not a telemetry session is
+  /// installed; ordering is deterministic (sites in application / index
+  /// order) and survives the procedure-order merge.
   std::vector<support::Remark> Remarks;
 
   bool failed() const { return Err.failed(); }
 };
 
 /// Fault-tolerance policy of the pass manager. With Transactional set
-/// (the default), each optimization pass runs against a snapshot of the
-/// procedure: any exception, ill-formed result, or interpreter-observed
-/// semantic divergence rolls the procedure back and records the failure
-/// instead of corrupting the pipeline. A pass that fails
-/// QuarantineAfter consecutive times is quarantined (skipped, with a
-/// report entry) while the rest of the pipeline continues.
+/// (the default), each pass runs against a snapshot of what it may
+/// change (the procedure for an optimization, the labeling for an
+/// analysis): any exception, ill-formed result, or interpreter-observed
+/// semantic divergence restores the snapshot and records the failure
+/// instead of corrupting the pipeline. Every run starts from the same
+/// state, so a pass that failed last run runs again this run.
 ///
 /// ## Concurrency model (see DESIGN.md)
-/// Each run() executes one job per procedure, each against a private
-/// copy of the run-start program, and merges bodies, labelings, reports,
-/// and failure/success events back in procedure order. The same model is
-/// used with and without a thread pool, so `--jobs N` is bit-identical
-/// to `--jobs 1`: quarantine decisions read the run-start state (a
-/// failure recorded during a run takes effect the next run), and the
-/// interpreter spot-check sees the run-start bodies of *other*
-/// procedures (snapshot isolation) rather than whatever the schedule
-/// happened to finish first.
+/// Each run executes one job per procedure, each against a private copy
+/// of the run-start program, and merges bodies and reports back in
+/// procedure order. The same model is used with and without a thread
+/// pool, so `--jobs N` is bit-identical to `--jobs 1`: the interpreter
+/// spot-check sees the run-start bodies of *other* procedures (snapshot
+/// isolation) rather than whatever the schedule happened to finish
+/// first.
 struct TxPolicy {
   bool Transactional = true;
-  unsigned QuarantineAfter = 3;
-  /// Post-pass interpreter spot-check: after a pass rewrites a
-  /// procedure, main() is run on this many generated inputs before and
-  /// after; an input on which the original returned must return the
-  /// same value in the rewritten program (the paper's soundness
-  /// direction). 0 disables the semantic check (the CFG well-formedness
-  /// check still runs).
-  unsigned SpotCheckInputs = 4;
-  uint64_t SpotCheckFuel = 1u << 16;
+  /// Post-pass interpreter spot-check (transactional runs only): after
+  /// a pass rewrites a procedure, main() is run on this many generated
+  /// inputs before and after, each with SpotCheckFuel steps; an input
+  /// on which the original returned must return the same value in the
+  /// rewritten program (the paper's soundness direction).
+  static constexpr unsigned SpotCheckInputs = 4;
+  static constexpr uint64_t SpotCheckFuel = 1u << 16;
 };
 
+/// A registered pipeline of passes. Registration happens once, before
+/// the first run; a run reads the registered passes and the policy and
+/// writes only the program it is given, so one manager serves any
+/// number of concurrent runs.
 class PassManager {
 public:
   /// Registers a pass. Label definitions carried by the pass are added to
@@ -108,56 +108,40 @@ public:
   void defineLabel(const LabelDef &Def);
 
   const LabelRegistry &registry() const { return Registry; }
+  /// The registered passes of each kind, in registration order.
+  const std::vector<PureAnalysis> &analyses() const { return Analyses; }
+  const std::vector<Optimization> &optimizations() const {
+    return Optimizations;
+  }
+
+  /// Fault-tolerance policy (see TxPolicy).
+  void setTxPolicy(const TxPolicy &Policy) { Tx = Policy; }
 
   /// Runs all registered passes, in registration order, over every
   /// procedure of \p Prog (analyses label; optimizations rewrite).
-  /// Returns one report per (pass, procedure).
-  std::vector<PassReport> run(ir::Program &Prog);
+  /// Returns one report per (pass, procedure). Per-procedure jobs run on
+  /// \p Pool (nullptr = sequential on the calling thread, same merge
+  /// model).
+  std::vector<PassReport> run(ir::Program &Prog,
+                              support::ThreadPool *Pool = nullptr) const;
 
   /// Repeats run() until a whole round applies no rewrite (or \p
   /// MaxRounds is hit). Soundness is per-round (each round is a
   /// composition of proven passes); returns the number of rounds that
   /// performed at least one rewrite.
-  unsigned runToFixpoint(ir::Program &Prog, unsigned MaxRounds = 8);
+  unsigned runToFixpoint(ir::Program &Prog,
+                         support::ThreadPool *Pool = nullptr,
+                         unsigned MaxRounds = 8) const;
 
   /// Runs a single registered optimization by name over the program.
   std::vector<PassReport> runOne(const std::string &Name,
-                                 ir::Program &Prog);
+                                 ir::Program &Prog) const;
 
   /// Runs the subset of registered passes whose names appear in \p Names,
   /// preserving registration order (PipelineRequest::SelectedOnly).
   std::vector<PassReport> runSelected(const std::vector<std::string> &Names,
-                                      ir::Program &Prog);
-
-  /// Per-procedure jobs run on \p Pool (nullptr = sequential on the
-  /// calling thread, same merge model). Non-owning; the pool must
-  /// outlive the manager's runs.
-  void setThreadPool(support::ThreadPool *Pool) { this->Pool = Pool; }
-
-  /// The labeling computed for a procedure during the last run (empty if
-  /// none). Useful for inspecting analysis results.
-  const Labeling *labelingFor(const std::string &ProcName) const;
-
-  /// Fault-tolerance policy (see TxPolicy).
-  void setTxPolicy(const TxPolicy &Policy) { Tx = Policy; }
-  const TxPolicy &txPolicy() const { return Tx; }
-
-  /// Passes currently quarantined (skipped until resetQuarantine).
-  /// Sorted by name.
-  std::vector<std::string> quarantined() const;
-
-  /// Consecutive-failure count of a pass (0 if it never failed or
-  /// succeeded since).
-  unsigned failureCount(const std::string &PassName) const;
-
-  /// Clears quarantine state and failure counters (e.g. after the fault
-  /// source is fixed).
-  void resetQuarantine();
-
-  /// True when the most recent run()/runOne()/runToFixpoint() recorded
-  /// at least one pass failure or quarantine-skip — the pipeline
-  /// completed, but degraded.
-  bool lastRunDegraded() const { return LastRunDegraded; }
+                                      ir::Program &Prog,
+                                      support::ThreadPool *Pool = nullptr) const;
 
 private:
   struct Pass {
@@ -167,20 +151,14 @@ private:
 
   void registerLabels(const std::vector<LabelDef> &Labels);
   std::vector<PassReport> runPasses(const std::vector<Pass> &ToRun,
-                                    ir::Program &Prog);
-  void recordFailure(const std::string &PassName);
-  void recordSuccess(const std::string &PassName);
-  bool isQuarantined(const std::string &PassName) const;
+                                    ir::Program &Prog,
+                                    support::ThreadPool *Pool) const;
 
   LabelRegistry Registry;
   std::vector<PureAnalysis> Analyses;
   std::vector<Optimization> Optimizations;
   std::vector<Pass> Pipeline;
-  std::map<std::string, Labeling> LastLabelings;
   TxPolicy Tx;
-  std::map<std::string, unsigned> ConsecutiveFailures;
-  bool LastRunDegraded = false;
-  support::ThreadPool *Pool = nullptr;
 };
 
 } // namespace engine

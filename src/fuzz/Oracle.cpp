@@ -73,15 +73,11 @@ ApplyOutcome fuzz::applyRule(const Optimization &Opt,
                              const std::vector<PureAnalysis> &Analyses,
                              const Program &Prog) {
   engine::PassManager PM;
-  engine::TxPolicy Tx;
-  // Raw mode: no snapshots, no interpreter spot-check, no quarantine.
-  // The transactional machinery would roll a miscompile back before the
+  // Raw mode: no snapshots and no interpreter spot-check. The
+  // transactional machinery would roll a miscompile back before the
   // oracle could see it — the fuzzer is the scaled-up version of that
   // spot-check and must observe the unprotected behavior.
-  Tx.Transactional = false;
-  Tx.SpotCheckInputs = 0;
-  Tx.QuarantineAfter = 0;
-  PM.setTxPolicy(Tx);
+  PM.setTxPolicy({/*Transactional=*/false});
   for (const PureAnalysis &A : Analyses)
     PM.addAnalysis(A);
   PM.addOptimization(Opt);

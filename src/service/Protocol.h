@@ -54,8 +54,9 @@
 namespace cobalt {
 namespace service {
 
-/// Protocol revision, reported by "ping". Bump on incompatible change.
-inline constexpr int ProtocolVersion = 1;
+/// Protocol revision, reported by "ping". Bump on incompatible change
+/// (2: "pipeline" entries no longer carry "quarantined").
+inline constexpr int ProtocolVersion = 2;
 
 /// A parsed JSON value — the minimal DOM the daemon needs to read
 /// requests and clients need to read response envelopes. Numbers keep

@@ -50,8 +50,6 @@ enum class ErrorKind {
   EK_RewriteConflict, ///< The post-pass sanity check failed (ill-formed
                       ///< CFG or an interpreter spot-check divergence);
                       ///< the rewrite was rolled back.
-  EK_Quarantined,     ///< The pass was skipped: it failed too many
-                      ///< consecutive times and is quarantined.
 
   // Front-end / environment failures surfaced by the api loaders and
   // parsers (Expected<T> carriers). These map to the CLI's usage exit
@@ -84,8 +82,6 @@ inline const char *errorKindName(ErrorKind K) {
     return "pass_panic";
   case ErrorKind::EK_RewriteConflict:
     return "rewrite_conflict";
-  case ErrorKind::EK_Quarantined:
-    return "quarantined";
   case ErrorKind::EK_ParseError:
     return "parse_error";
   case ErrorKind::EK_IoError:
@@ -102,8 +98,7 @@ inline ErrorKind errorKindFromName(const std::string &Name) {
   for (ErrorKind K :
        {ErrorKind::EK_ProverTimeout, ErrorKind::EK_ProverUnknown,
         ErrorKind::EK_ProverResourceOut, ErrorKind::EK_WorkerCrash,
-        ErrorKind::EK_PassPanic,
-        ErrorKind::EK_RewriteConflict, ErrorKind::EK_Quarantined,
+        ErrorKind::EK_PassPanic, ErrorKind::EK_RewriteConflict,
         ErrorKind::EK_ParseError, ErrorKind::EK_IoError,
         ErrorKind::EK_Unavailable})
     if (Name == errorKindName(K))

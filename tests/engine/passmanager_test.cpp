@@ -189,24 +189,6 @@ TEST(PassManagerTest, RunOneSelectsByName) {
   EXPECT_NE(toString(Prog).find("x := 2"), std::string::npos);
 }
 
-TEST(PassManagerTest, LabelingExposedAfterRun) {
-  PassManager PM;
-  PM.addAnalysis(opts::taintAnalysis());
-  Program Prog = parseProgramOrDie(R"(
-    proc main(x) {
-      decl a;
-      decl p;
-      p := &a;
-      return x;
-    }
-  )");
-  PM.run(Prog);
-  const Labeling *Labels = PM.labelingFor("main");
-  ASSERT_NE(Labels, nullptr);
-  GroundLabel NotTaintedP{"notTainted", {Binding::var("p")}};
-  EXPECT_TRUE((*Labels)[3].count(NotTaintedP));
-}
-
 TEST(PassManagerTest, SharedLabelsAcrossPassesRegisterOnce) {
   PassManager PM;
   PM.addOptimization(opts::constProp());

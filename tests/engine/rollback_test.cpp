@@ -8,9 +8,8 @@
 /// The fault-tolerance contract of the pass manager: a pass that throws
 /// mid-rewrite, produces an ill-formed procedure, or miscompiles (caught
 /// by the interpreter spot-check) is rolled back to a byte-identical
-/// snapshot, recorded, and — after enough consecutive failures —
-/// quarantined, while the rest of the pipeline keeps running. Faults are
-/// injected deterministically via support/FaultInjection.h.
+/// snapshot and recorded, while the rest of the pipeline keeps running.
+/// Faults are injected deterministically via support/FaultInjection.h.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +20,7 @@
 #include "opts/Buggy.h"
 #include "opts/Optimizations.h"
 #include "support/FaultInjection.h"
+#include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
 
@@ -45,9 +45,7 @@ const char *SimplifiableText = R"(
 
 TEST(RollbackTest, MidRewriteFaultRollsBackToExactSnapshot) {
   PassManager PM;
-  Optimization AddZero = opts::simplifyAddZero();
-  std::string PassName = AddZero.Name;
-  PM.addOptimization(std::move(AddZero));
+  PM.addOptimization(opts::simplifyAddZero());
 
   Program Prog = parseProgramOrDie(SimplifiableText);
   Program Before = Prog;
@@ -66,10 +64,6 @@ TEST(RollbackTest, MidRewriteFaultRollsBackToExactSnapshot) {
   ASSERT_EQ(Prog.Procs.size(), Before.Procs.size());
   EXPECT_TRUE(Prog.Procs[0] == Before.Procs[0]);
   EXPECT_EQ(toString(Prog), toString(Before));
-
-  EXPECT_TRUE(PM.lastRunDegraded());
-  EXPECT_EQ(PM.failureCount(PassName), 1u);
-  EXPECT_TRUE(PM.quarantined().empty()); // one failure < QuarantineAfter
 }
 
 TEST(RollbackTest, LaterPassesStillRunAfterRollback) {
@@ -93,7 +87,6 @@ TEST(RollbackTest, LaterPassesStillRunAfterRollback) {
   std::string Out = toString(Prog);
   EXPECT_EQ(Out.find("* 1"), std::string::npos) << Out;   // mul-one applied
   EXPECT_NE(Out.find("x + 0"), std::string::npos) << Out; // add-zero rolled back
-  EXPECT_TRUE(PM.lastRunDegraded());
 }
 
 TEST(RollbackTest, SpotCheckRejectsMiscompilingPassAndRollsBack) {
@@ -130,7 +123,6 @@ TEST(RollbackTest, SpotCheckRejectsMiscompilingPassAndRollsBack) {
 
   EXPECT_TRUE(Prog.Procs[0] == Before.Procs[0]);
   EXPECT_EQ(toString(Prog), toString(Before));
-  EXPECT_TRUE(PM.lastRunDegraded());
 }
 
 TEST(RollbackTest, InterpreterFaultDuringSpotCheckTriggersRollback) {
@@ -156,56 +148,10 @@ TEST(RollbackTest, InterpreterFaultDuringSpotCheckTriggersRollback) {
   EXPECT_TRUE(Prog.Procs[0] == Before.Procs[0]);
 }
 
-TEST(RollbackTest, PassIsQuarantinedAfterConsecutiveFailures) {
-  PassManager PM;
-  TxPolicy Tx;
-  Tx.QuarantineAfter = 2;
-  PM.setTxPolicy(Tx);
-  Optimization AddZero = opts::simplifyAddZero();
-  std::string PassName = AddZero.Name;
-  PM.addOptimization(std::move(AddZero));
-
-  Program Prog = parseProgramOrDie(SimplifiableText);
-
-  {
-    ScopedFaultPlan Plan(faults::EngineThrowMidRewrite);
-    support::FaultInjector &FI = support::FaultInjector::instance();
-
-    // Two consecutive failures → quarantine threshold reached.
-    EXPECT_TRUE(PM.run(Prog)[0].failed());
-    EXPECT_TRUE(PM.run(Prog)[0].failed());
-    EXPECT_EQ(PM.failureCount(PassName), 2u);
-    ASSERT_EQ(PM.quarantined().size(), 1u);
-    EXPECT_EQ(PM.quarantined()[0], PassName);
-
-    // Third run: the pass is skipped entirely (the engine's injection
-    // point is never even reached) but reported, and the run counts as
-    // degraded.
-    unsigned HitsBefore = FI.hits(faults::EngineThrowMidRewrite);
-    auto Reports = PM.run(Prog);
-    ASSERT_EQ(Reports.size(), 1u);
-    EXPECT_TRUE(Reports[0].Quarantined);
-    EXPECT_EQ(Reports[0].Err.Kind, ErrorKind::EK_Quarantined);
-    EXPECT_EQ(FI.hits(faults::EngineThrowMidRewrite), HitsBefore);
-    EXPECT_TRUE(PM.lastRunDegraded());
-  }
-
-  // Fault source fixed + quarantine lifted: the pass works again.
-  PM.resetQuarantine();
-  auto Reports = PM.run(Prog);
-  ASSERT_EQ(Reports.size(), 1u);
-  EXPECT_FALSE(Reports[0].failed());
-  EXPECT_EQ(Reports[0].AppliedCount, 1u);
-  EXPECT_FALSE(PM.lastRunDegraded());
-}
-
 TEST(RollbackTest, FixpointConvergesUnderPersistentFault) {
   // A rolled-back pass reports zero applications, so a persistently
   // faulting pass cannot keep runToFixpoint spinning until MaxRounds.
   PassManager PM;
-  TxPolicy Tx;
-  Tx.QuarantineAfter = 0; // never quarantine: the pass fails every round
-  PM.setTxPolicy(Tx);
   PM.addOptimization(opts::simplifyAddZero());
 
   Program Prog = parseProgramOrDie(SimplifiableText);
@@ -215,8 +161,10 @@ TEST(RollbackTest, FixpointConvergesUnderPersistentFault) {
   unsigned ActiveRounds = PM.runToFixpoint(Prog);
 
   EXPECT_EQ(ActiveRounds, 0u);
-  EXPECT_TRUE(PM.lastRunDegraded());
   EXPECT_EQ(toString(Prog), toString(Before));
+  // Every run starts afresh: the pass that failed last round is tried
+  // (and fails) again.
+  EXPECT_TRUE(PM.run(Prog)[0].failed());
 }
 
 TEST(RollbackTest, NonTransactionalModeStillContainsTheException) {
@@ -224,9 +172,7 @@ TEST(RollbackTest, NonTransactionalModeStillContainsTheException) {
   // is still caught and recorded (the pipeline never crashes), but the
   // procedure keeps whatever the pass left behind.
   PassManager PM;
-  TxPolicy Tx;
-  Tx.Transactional = false;
-  PM.setTxPolicy(Tx);
+  PM.setTxPolicy({/*Transactional=*/false});
   PM.addOptimization(opts::simplifyAddZero());
 
   Program Prog = parseProgramOrDie(SimplifiableText);
@@ -239,6 +185,78 @@ TEST(RollbackTest, NonTransactionalModeStillContainsTheException) {
   EXPECT_TRUE(Reports[0].failed());
   EXPECT_FALSE(Reports[0].RolledBack);
   EXPECT_NE(toString(Prog), toString(Before)); // half-applied, by design
+}
+
+TEST(RollbackTest, NonTransactionalFailureReplaysLabelsBeforeNextPass) {
+  // The failing pass lands pre_duplicate's first rewrite (skip becomes
+  // p := &a, which taints a) and then throws. With Transactional off the
+  // half-applied body stays, so the taint labels computed for the old
+  // body are stale: const_prop_precise, which reads them, must see them
+  // replayed first. Transactional, the rollback restores the body the
+  // labels were computed for, and nothing is replayed.
+  const char *Text = R"(
+    proc main(x) {
+      decl a;
+      decl p;
+      decl b;
+      a := x;
+      skip;
+      b := a;
+      p := &a;
+      return b;
+    }
+  )";
+  auto RunAt = [](bool Transactional, Program &Prog,
+                   support::Telemetry &Telem) {
+    PassManager PM;
+    PM.setTxPolicy({Transactional});
+    PM.addAnalysis(opts::taintAnalysis());
+    PM.addOptimization(opts::preDuplicate());
+    PM.addOptimization(opts::constPropPrecise());
+    support::TelemetryScope Scope(&Telem);
+    ScopedFaultPlan Plan(std::string(faults::EngineThrowMidRewrite) + "@1");
+    return PM.run(Prog);
+  };
+
+  Program Raw = parseProgramOrDie(Text);
+  support::Telemetry RawTelem;
+  std::vector<PassReport> Reports = RunAt(false, Raw, RawTelem);
+  ASSERT_EQ(Reports.size(), 3u);
+  EXPECT_EQ(Reports[1].PassName, "pre_duplicate");
+  EXPECT_TRUE(Reports[1].failed());
+  EXPECT_FALSE(Reports[1].RolledBack);
+  EXPECT_FALSE(Reports[2].failed());
+  std::string Out = toString(Raw);
+  EXPECT_LT(Out.find("p := &a"), Out.find("b := a")) << Out; // half-applied
+
+  // Exactly one replay (of the one analysis), inside the forward pass's
+  // span, i.e. before const_prop_precise reads the labels.
+  EXPECT_EQ(RawTelem.Metrics.counter("engine.label_replays"), 1u);
+  const support::TraceEvent *Replay = nullptr, *Forward = nullptr;
+  std::vector<support::TraceEvent> Events = RawTelem.Trace.snapshot();
+  for (const support::TraceEvent &E : Events) {
+    std::string Name = E.Name;
+    if (Name == "labels.replay")
+      Replay = &E;
+    else if (Name == "pass" && E.Args.at(0).second == "const_prop_precise")
+      Forward = &E;
+  }
+  ASSERT_NE(Replay, nullptr);
+  ASSERT_NE(Forward, nullptr);
+  EXPECT_GE(Replay->StartUs, Forward->StartUs);
+  EXPECT_LE(Replay->StartUs + Replay->DurUs,
+            Forward->StartUs + Forward->DurUs);
+  ASSERT_EQ(Replay->Args.size(), 1u);
+  EXPECT_EQ(std::string(Replay->Args[0].first), "analyses");
+  EXPECT_EQ(Replay->Args[0].second, "1");
+
+  Program Rolled = parseProgramOrDie(Text);
+  support::Telemetry TxTelem;
+  Reports = RunAt(true, Rolled, TxTelem);
+  ASSERT_EQ(Reports.size(), 3u);
+  EXPECT_TRUE(Reports[1].RolledBack);
+  EXPECT_EQ(toString(Rolled), toString(parseProgramOrDie(Text)));
+  EXPECT_EQ(TxTelem.Metrics.counter("engine.label_replays"), 0u);
 }
 
 } // namespace

@@ -113,27 +113,26 @@ PipelineOutcome runPipelineAt(unsigned Jobs, const std::string &FaultPlan,
   for (Optimization &O : opts::allOptimizations())
     PM.addOptimization(std::move(O));
   ThreadPool Pool(Jobs);
-  PM.setThreadPool(&Pool);
 
   ir::Program Prog = ir::parseProgramOrDie(MultiProcProgram);
   std::vector<PassReport> Reports;
   if (FaultPlan.empty()) {
-    Reports = PM.run(Prog);
+    Reports = PM.run(Prog, &Pool);
   } else {
     ScopedFaultPlan Plan(FaultPlan, Seed);
-    Reports = PM.run(Prog);
+    Reports = PM.run(Prog, &Pool);
   }
 
   PipelineOutcome Out;
   Out.Program = ir::toString(Prog);
   std::ostringstream R;
-  for (const PassReport &Rep : Reports)
+  for (const PassReport &Rep : Reports) {
     R << Rep.PassName << "/" << Rep.ProcName << " applied="
       << Rep.AppliedCount << " kind=" << Rep.Err.kindName()
-      << " msg=" << Rep.Err.Message << " rolled=" << Rep.RolledBack
-      << " quar=" << Rep.Quarantined << "\n";
+      << " msg=" << Rep.Err.Message << " rolled=" << Rep.RolledBack << "\n";
+    Out.Degraded |= Rep.failed();
+  }
   Out.Reports = R.str();
-  Out.Degraded = PM.lastRunDegraded();
   return Out;
 }
 
@@ -220,7 +219,7 @@ TEST(ParallelEquivalenceTest, PipelineFaultStormDeterministicAcrossWidths) {
 }
 
 //===----------------------------------------------------------------------===//
-// Rollback and quarantine under concurrent failure.
+// Rollback under concurrent failure.
 //===----------------------------------------------------------------------===//
 
 TEST(ParallelEquivalenceTest, ConcurrentFailuresRollBackEveryProcedure) {
@@ -231,17 +230,15 @@ TEST(ParallelEquivalenceTest, ConcurrentFailuresRollBackEveryProcedure) {
   for (Optimization &O : opts::allOptimizations())
     PM.addOptimization(std::move(O));
   ThreadPool Pool(4);
-  PM.setThreadPool(&Pool);
 
   ir::Program Prog = ir::parseProgramOrDie(MultiProcProgram);
   std::string Before = ir::toString(Prog);
   std::vector<PassReport> Reports;
   {
     ScopedFaultPlan Plan(faults::EngineThrowMidRewrite);
-    Reports = PM.run(Prog);
+    Reports = PM.run(Prog, &Pool);
   }
   EXPECT_EQ(ir::toString(Prog), Before);
-  EXPECT_TRUE(PM.lastRunDegraded());
   bool AnyFailed = false;
   for (const PassReport &R : Reports) {
     if (!R.failed())
@@ -251,68 +248,4 @@ TEST(ParallelEquivalenceTest, ConcurrentFailuresRollBackEveryProcedure) {
     EXPECT_EQ(R.AppliedCount, 0u) << R.PassName << "/" << R.ProcName;
   }
   EXPECT_TRUE(AnyFailed);
-}
-
-TEST(ParallelEquivalenceTest, QuarantineReadsRunStartStateAtEveryWidth) {
-  // Quarantine decisions snapshot the run-start failure counters, so a
-  // pass crossing the threshold mid-run is quarantined on the *next*
-  // run — identically at every width. The failure streak is counted
-  // per (procedure, pass) event and a success anywhere resets it, so
-  // the program gives the pass a rewrite site in *every* procedure;
-  // with every rewrite exploding, three failing runs comfortably trip
-  // the default threshold and the next run must report quarantine
-  // skips.
-  const char *EverywhereSites = R"(
-    proc helper(a) {
-      decl t;
-      t := a;
-      t := t * 1;
-      return t;
-    }
-    proc other(b) {
-      decl v;
-      v := b;
-      v := v * 1;
-      return v;
-    }
-    proc main(x) {
-      decl d;
-      d := x;
-      d := d * 1;
-      return d;
-    }
-  )";
-  for (unsigned Jobs : Widths) {
-    PassManager PM;
-    for (Optimization &O : opts::allOptimizations())
-      PM.addOptimization(std::move(O));
-    ThreadPool Pool(Jobs);
-    PM.setThreadPool(&Pool);
-
-    ir::Program Prog = ir::parseProgramOrDie(EverywhereSites);
-    std::vector<std::string> QuarantinedAfter;
-    {
-      ScopedFaultPlan Plan(faults::EngineThrowMidRewrite);
-      for (int Run = 0; Run < 3; ++Run)
-        PM.run(Prog);
-      QuarantinedAfter = PM.quarantined();
-    }
-    ASSERT_FALSE(QuarantinedAfter.empty()) << "jobs=" << Jobs;
-
-    // With the fault gone, the quarantined passes are still skipped...
-    std::vector<PassReport> Reports = PM.run(Prog);
-    bool SawSkip = false;
-    for (const PassReport &R : Reports)
-      if (R.Quarantined) {
-        SawSkip = true;
-        EXPECT_EQ(R.Err.Kind, support::ErrorKind::EK_Quarantined);
-      }
-    EXPECT_TRUE(SawSkip) << "jobs=" << Jobs;
-
-    // ...until the quarantine is reset.
-    PM.resetQuarantine();
-    EXPECT_TRUE(PM.quarantined().empty());
-    for (const PassReport &R : PM.run(Prog))
-      EXPECT_FALSE(R.Quarantined) << R.PassName;
-  }
 }

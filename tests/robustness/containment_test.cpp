@@ -10,8 +10,8 @@
 /// blow-ups, torn response frames. Every storm must (a) let the suite run
 /// to completion, (b) degrade only the faulted obligations, to
 /// unknown(EK_WorkerCrash), and (c) produce byte-identical reports at
-/// every --jobs width. Also pins the DM_InProcess escape hatch and the
-/// never-cache-a-quarantined-verdict rule.
+/// every --jobs width. Also pins the never-cache-a-quarantined-verdict
+/// rule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -60,7 +60,6 @@ struct RunConfig {
   unsigned Jobs = 1;
   std::string FaultPlan; ///< Empty = no injection.
   uint64_t Seed = 0;
-  DegradedMode Degraded = DegradedMode::DM_Quarantine;
   unsigned WallMs = 0;  ///< 0 = checker default.
   unsigned RssMb = 0;   ///< 0 = unwatched.
   bool Isolate = true;  ///< WI_Subprocess unless cleared.
@@ -77,7 +76,6 @@ std::string runSuite(const RunConfig &RC) {
   ProverPolicy P;
   P.Isolation = RC.Isolate ? WorkerIsolation::WI_Subprocess
                            : WorkerIsolation::WI_InProcess;
-  P.Degraded = RC.Degraded;
   P.WorkerWallMs = RC.WallMs;
   P.WorkerRssMb = RC.RssMb;
   SC.setPolicy(P);
@@ -222,24 +220,6 @@ TEST(ContainmentTest, TornResponseFramesClassifiedAsCrashes) {
 //===----------------------------------------------------------------------===//
 // Degradation policy.
 //===----------------------------------------------------------------------===//
-
-TEST(ContainmentTest, InProcessFallbackRecoversEveryVerdict) {
-  RunConfig InProc;
-  InProc.Isolate = false;
-  std::string Clean = runSuite(InProc);
-
-  for (unsigned Jobs : Widths) {
-    RunConfig RC;
-    RC.Jobs = Jobs;
-    RC.FaultPlan = std::string(faults::WorkerCrash) + "%20";
-    RC.Seed = 9;
-    RC.Degraded = DegradedMode::DM_InProcess;
-    // worker.* sites fire only inside worker children, so the in-process
-    // rerun discharges the quarantined obligations for real: the storm
-    // run must equal the clean baseline, crash marks and all.
-    EXPECT_EQ(runSuite(RC), Clean) << "jobs=" << Jobs;
-  }
-}
 
 TEST(ContainmentTest, QuarantinedVerdictsNeverCached) {
   fs::path Dir = fs::temp_directory_path() / "cobalt-containment-cache";

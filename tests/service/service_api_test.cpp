@@ -9,12 +9,15 @@
 /// request resolution, per-request overrides, obligation-level dedup
 /// across concurrent callers (prove once, serve everyone, link the
 /// joiners' trace IDs), admission control's Retry contract, the
-/// never-keep-Unproven rule, the §6 assumed-analysis gate, and the
-/// verdict store's mem-vs-disk counters.
+/// never-keep-Unproven rule, the §6 assumed-analysis gate, the verdict
+/// store's mem-vs-disk counters, and concurrent pipeline requests on the
+/// service's one pass manager.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "api/ReportJson.h"
 #include "api/Service.h"
+#include "ir/Printer.h"
 #include "opts/Buggy.h"
 #include "opts/Labels.h"
 #include "opts/Optimizations.h"
@@ -313,6 +316,96 @@ TEST(ServiceApi, PipelineRequestRoundTrip) {
   EXPECT_EQ(Resp.Result.Reports.size(), 2u);
   // The transformed program came back out.
   EXPECT_FALSE(Resp.Prog.Procs.empty());
+}
+
+TEST(ServiceApi, ConcurrentRunsShareOnePipeline) {
+  // Every run request executes on the service's one PassManager. Eight
+  // threads, four requests each, mixing sequential (Jobs = 1) and
+  // pooled (Jobs = 0) runs of the whole stdlib pipeline and of a
+  // selected subset: each must produce exactly the program and reports
+  // that the same request produces alone.
+  CobaltConfig Config;
+  Config.Jobs = 4;
+  support::Expected<CobaltModule> Module = loadModule("stdlib");
+  ASSERT_TRUE(Module.ok());
+  std::shared_ptr<CobaltService> Svc = CobaltService::Builder()
+                                           .config(Config)
+                                           .addModule(std::move(*Module))
+                                           .build();
+  support::Expected<ir::Program> Prog = Svc->parseProgram(R"(
+    proc helper(a) {
+      decl t;
+      decl u;
+      t := 3;
+      u := t;
+      u := u + a;
+      return u;
+    }
+    proc other(b) {
+      decl v;
+      decl w;
+      decl p;
+      p := &w;
+      v := b * 1;
+      w := 4;
+      *p := v;
+      v := w;
+      return v;
+    }
+    proc main(x) {
+      decl c;
+      decl d;
+      c := 2;
+      d := c + 0;
+      d := d * 1;
+      d := d + x;
+      return d;
+    }
+  )");
+  ASSERT_TRUE(Prog.ok());
+
+  auto Request = [&](unsigned K) {
+    PipelineRequest Req;
+    Req.Prog = *Prog;
+    Req.Jobs = K % 2;
+    Req.SelectedOnly = K % 4 >= 2;
+    Req.PassNames = {"taint_analysis", "const_prop", "copy_prop",
+                     "dead_assign_elim"};
+    return Req;
+  };
+  auto Outcome = [](const PipelineResponse &Resp) {
+    std::string Out = ir::toString(Resp.Prog);
+    emitPipelineJson(Out, Resp.Result.Reports);
+    for (const engine::PassReport &R : Resp.Result.Reports)
+      for (const support::Remark &Rem : R.Remarks)
+        Out += "\n" + Rem.str();
+    return Out;
+  };
+
+  constexpr unsigned Kinds = 4, Threads = 8, PerThread = 4;
+  std::vector<std::string> Sequential;
+  for (unsigned K = 0; K < Kinds; ++K) {
+    PipelineResponse Resp = Svc->run(Request(K));
+    ASSERT_TRUE(Resp.ok());
+    ASSERT_GT(Resp.Result.Applied, 0u);
+    Sequential.push_back(Outcome(Resp));
+  }
+  EXPECT_NE(Sequential[0], Sequential[2]); // the subset is not the suite
+
+  std::vector<std::string> Concurrent(Threads * PerThread);
+  std::vector<std::thread> Workers;
+  for (unsigned T = 0; T < Threads; ++T)
+    Workers.emplace_back([&, T] {
+      for (unsigned I = 0; I < PerThread; ++I)
+        Concurrent[T * PerThread + I] = Outcome(Svc->run(Request(T + I)));
+    });
+  for (std::thread &W : Workers)
+    W.join();
+
+  for (unsigned T = 0; T < Threads; ++T)
+    for (unsigned I = 0; I < PerThread; ++I)
+      EXPECT_EQ(Concurrent[T * PerThread + I], Sequential[(T + I) % Kinds])
+          << "thread " << T << " request " << I;
 }
 
 TEST(ServiceApi, UnprovenAnalysisGatesItsConsumers) {

@@ -102,18 +102,6 @@ const FlagRow Rows[] = {
        return applyUInt(V, O.Config.Prover.WorkerRestarts, E,
                         "--worker-restarts");
      }},
-    {"--degraded=", Style::S_EqValue, FS_Prover, "[quarantine|inprocess]",
-     [](CommonOptions &O, const char *V, std::string &E) {
-       if (std::strcmp(V, "quarantine") == 0)
-         O.Config.Prover.Degraded = checker::DegradedMode::DM_Quarantine;
-       else if (std::strcmp(V, "inprocess") == 0)
-         O.Config.Prover.Degraded = checker::DegradedMode::DM_InProcess;
-       else {
-         E = "--degraded= takes quarantine or inprocess";
-         return false;
-       }
-       return true;
-     }},
     // FS_Driver ----------------------------------------------------------
     {"--fail-fast", Style::S_Bool, FS_Driver, "",
      [](CommonOptions &O, const char *, std::string &) {

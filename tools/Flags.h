@@ -7,7 +7,7 @@
 /// \file
 /// One flag table for cobaltc, cobaltd, and `cobaltc client`, so the
 /// three entry points cannot drift: `--jobs`, `--cache-dir`,
-/// `--worker-*`, `--degraded=`, ... are parsed by the same rows with the
+/// `--prover-*`, `--worker-*`, ... are parsed by the same rows with the
 /// same validation everywhere. Each tool selects the *subsets* it
 /// accepts (FlagSet); unknown or out-of-set flags fail parsing with the
 /// tool's name in the message, and usage text is generated from the
@@ -56,8 +56,7 @@ struct CommonOptions {
 /// Flag groups a tool opts into (bitwise-or).
 enum FlagSet : unsigned {
   FS_Core = 1u << 0,      ///< --jobs, --cache-dir
-  FS_Prover = 1u << 1,    ///< --prover-*, --isolate-workers, --worker-*,
-                          ///< --degraded=
+  FS_Prover = 1u << 1,    ///< --prover-*, --isolate-workers, --worker-*
   FS_Driver = 1u << 2,    ///< --fail-fast, --keep-going, --report=json,
                           ///< --remarks=
   FS_Telemetry = 1u << 3, ///< --trace-out=, --metrics-out=,

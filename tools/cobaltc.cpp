@@ -21,7 +21,7 @@
 ///
 /// Flags are parsed from the shared table in Flags.cpp — the same rows
 /// drive cobaltd and `cobaltc client`, so `--jobs`, `--cache-dir`,
-/// `--worker-*`, and `--degraded=` cannot drift between the tools. The
+/// `--prover-*` and `--worker-*` cannot drift between the tools. The
 /// highlights:
 ///
 ///   --jobs <n>              parallel obligation/procedure jobs
@@ -39,7 +39,6 @@
 ///   --worker-rss <mb>       watchdog rss-growth budget per dispatch
 ///   --worker-restarts <n>   fresh workers tried per obligation before it
 ///                           is quarantined (default 2)
-///   --degraded=MODE         quarantine (default) | inprocess
 ///   --fail-fast             stop checking at the first unproven
 ///                           definition (definitions run sequentially)
 ///   --keep-going            opt/run: apply the proven subset instead of
@@ -79,8 +78,8 @@
 ///   2  usage / cannot read or parse inputs (or the daemon rejected the
 ///      request as malformed)
 ///   3  infrastructure degraded: no counterexample anywhere, but some
-///      obligation timed out / came back unknown, or a pass was rolled
-///      back or quarantined at run time
+///      obligation timed out / came back unknown, or a pass failed (and
+///      was rolled back) at run time
 ///   4  containment degraded: prover workers crashed/hung past their
 ///      restart budget and obligations were quarantined (still no
 ///      counterexample; rejection takes precedence)
@@ -246,8 +245,8 @@ void emitTelemetry(support::Telemetry *T, const cli::CommonOptions &Opts,
       "misses; disk: %llu hits, %llu stores, %llu corrupt)\n"
       "  workers      %llu spawned, %llu restarted, %llu obligation(s) "
       "quarantined\n"
-      "  engine       %llu rewrites, %llu rollbacks, %llu quarantine "
-      "skips\n"
+      "  engine       %llu rewrites, %llu rollbacks, %llu label "
+      "replays\n"
       "  dataflow     %llu fixpoint iterations over %llu solves\n"
       "  trace        %zu spans\n",
       static_cast<unsigned long long>(M.counter("checker.obligations")),
@@ -272,8 +271,7 @@ void emitTelemetry(support::Telemetry *T, const cli::CommonOptions &Opts,
       static_cast<unsigned long long>(M.counter("worker.quarantined")),
       static_cast<unsigned long long>(M.counter("engine.rewrites")),
       static_cast<unsigned long long>(M.counter("engine.rollbacks")),
-      static_cast<unsigned long long>(
-          M.counter("engine.quarantine_skips")),
+      static_cast<unsigned long long>(M.counter("engine.label_replays")),
       static_cast<unsigned long long>(
           M.counter("dataflow.fixpoint_iters")),
       static_cast<unsigned long long>(M.counter("dataflow.solves")),
@@ -483,10 +481,8 @@ GatedPipeline gateAndOptimize(const char *ModulePath,
                     R.PassName.c_str(), R.ProcName.c_str(),
                     R.AppliedCount);
       if (R.failed())
-        std::printf("  %-24s %-10s %s [%s]%s%s\n", R.PassName.c_str(),
-                    R.ProcName.c_str(),
-                    R.Quarantined ? "quarantined" : "FAILED",
-                    R.Err.kindName(),
+        std::printf("  %-24s %-10s FAILED [%s]%s%s\n", R.PassName.c_str(),
+                    R.ProcName.c_str(), R.Err.kindName(),
                     R.RolledBack ? ", rolled back" : "",
                     R.Err.Message.empty()
                         ? ""

@@ -28,7 +28,7 @@
 ///                          worker quarantine, SIGINT/SIGTERM, and
 ///                          explicit "dump" frames (implies --telemetry)
 ///   --flight-events=<n>    flight-recorder ring capacity (default 1024)
-///   --prover-* / --worker-* / --isolate-workers / --degraded=
+///   --prover-* / --worker-* / --isolate-workers
 ///                          prover policy, identical to cobaltc
 ///
 /// On success prints one readiness line to stdout:
