@@ -190,8 +190,22 @@ support::Expected<ir::Program> api::loadProgram(const std::string &Path) {
 // Checking.
 //===----------------------------------------------------------------------===//
 
-bool CobaltService::resolveTargets(const checker::SoundnessChecker &Checker,
-                                   const CheckRequest &Req,
+const std::vector<uint64_t> &CobaltService::fingerprints() const {
+  // Fingerprints read only the definitions and the registry, fixed since
+  // build(), so they are computed once. Not in build() itself: printing
+  // every definition there made building a service about 1.5x as slow,
+  // and a service that only runs pipelines never needs them.
+  std::call_once(FingerprintsOnce, [this] {
+    checker::SoundnessChecker Checker(registry(), analyses());
+    for (const PureAnalysis &A : analyses())
+      Fingerprints.push_back(Checker.fingerprintAnalysis(A));
+    for (const Optimization &O : optimizations())
+      Fingerprints.push_back(Checker.fingerprintOptimization(O));
+  });
+  return Fingerprints;
+}
+
+bool CobaltService::resolveTargets(const CheckRequest &Req,
                                    std::vector<Target> &Out,
                                    support::Error &Err) const {
   auto Wanted = [&Req](const std::string &Name) {
@@ -204,16 +218,16 @@ bool CobaltService::resolveTargets(const checker::SoundnessChecker &Checker,
   };
   const std::vector<PureAnalysis> &Analyses = analyses();
   const std::vector<Optimization> &Optimizations = optimizations();
+  const std::vector<uint64_t> &Keys = fingerprints();
   std::set<std::string> Seen;
   for (size_t I = 0; I < Analyses.size(); ++I)
     if (Wanted(Analyses[I].Name)) {
-      Out.push_back({true, I, Checker.fingerprintAnalysis(Analyses[I])});
+      Out.push_back({true, I, Keys[I]});
       Seen.insert(Analyses[I].Name);
     }
   for (size_t I = 0; I < Optimizations.size(); ++I)
     if (Wanted(Optimizations[I].Name)) {
-      Out.push_back(
-          {false, I, Checker.fingerprintOptimization(Optimizations[I])});
+      Out.push_back({false, I, Keys[Analyses.size() + I]});
       Seen.insert(Optimizations[I].Name);
     }
   for (const std::string &N : Req.Only)
@@ -252,15 +266,15 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
   support::metricAdd("service.requests.check");
   support::TraceSpan Span("service", "check");
 
-  // The request's checker fingerprints the targets, lowers the ones this
-  // request leads and proves them. The service claims and settles those
-  // verdicts itself, so the lowered sets are not Cacheable.
+  // The request's checker lowers the targets this request leads and
+  // proves them. The service claims and settles those verdicts itself,
+  // so the lowered sets are not Cacheable.
   checker::SoundnessChecker Checker(registry(), analyses());
   configureChecker(Checker, Req.Jobs, Req.BudgetMs, Req.FaultKeySalt);
 
   CheckResponse Resp;
   std::vector<Target> Targets;
-  if (!resolveTargets(Checker, Req, Targets, Resp.Err)) {
+  if (!resolveTargets(Req, Targets, Resp.Err)) {
     Resp.Status = ResponseStatus::RS_Error;
     support::metricAdd("service.requests.error");
     return Resp;
@@ -269,8 +283,8 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
   // Claim every target — leaders prove, the rest are served by the store
   // — and take the admission decision atomically, so two racing requests
   // cannot both believe they fit under the bound. Each lead is lowered
-  // here, with the fingerprint resolveTargets computed, so admission
-  // counts the obligations it will really prove.
+  // here, with its stored fingerprint, so admission counts the
+  // obligations it will really prove.
   std::vector<checker::VerdictStore::Claim> Claims;
   std::vector<size_t> Leaders;               ///< Indices into Targets.
   std::vector<checker::ObligationSet> Leads; ///< Parallel to Leaders.

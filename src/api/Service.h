@@ -44,10 +44,10 @@
 ///
 /// Concurrent requests proving the same definition would otherwise each
 /// discharge its obligations. The service keys every definition by the
-/// checker's structural fingerprint and claims it in its
-/// checker::VerdictStore, the one single-flight memo of decoded reports
-/// in front of the disk tier: the first requester (the *leader*) proves
-/// and settles, every concurrent or later requester receives the
+/// checker's structural fingerprint, computed once per service, and claims
+/// it in its checker::VerdictStore, the one single-flight memo of decoded
+/// reports in front of the disk tier: the first requester (the *leader*)
+/// proves and settles, every concurrent or later requester receives the
 /// leader's report object verbatim — which is also what makes N
 /// clients' responses byte-identical. Definitive verdicts stay for the
 /// service's lifetime; Unproven reports are handed to current waiters
@@ -305,6 +305,10 @@ public:
   size_t definitionCount() const {
     return analyses().size() + optimizations().size();
   }
+  /// Each definition's structural fingerprint (the verdict-store key),
+  /// computed once, on first use: analyses first, then optimizations, in
+  /// registration order.
+  const std::vector<uint64_t> &fingerprints() const;
   support::ThreadPool &pool() { return *Pool; }
   /// The service's verdict store (memory, plus the disk tier when
   /// Config.CacheDir is set).
@@ -340,8 +344,7 @@ private:
     uint64_t Fingerprint;
   };
 
-  bool resolveTargets(const checker::SoundnessChecker &Checker,
-                      const CheckRequest &Req, std::vector<Target> &Out,
+  bool resolveTargets(const CheckRequest &Req, std::vector<Target> &Out,
                       support::Error &Err) const;
   /// Applies the service policy and a request's overrides to \p C.
   void configureChecker(checker::SoundnessChecker &C, unsigned Jobs,
@@ -351,6 +354,9 @@ private:
   /// The registered definitions, each held once: pipeline requests run
   /// on it, and its registry is the one every checker references.
   engine::PassManager Pipeline;
+  /// Parallel to the definitions; see fingerprints().
+  mutable std::once_flag FingerprintsOnce;
+  mutable std::vector<uint64_t> Fingerprints;
   std::unique_ptr<support::ThreadPool> Pool;
   std::shared_ptr<checker::VerdictStore> Store;
   std::unique_ptr<support::Telemetry> Telem;

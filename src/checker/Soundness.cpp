@@ -541,32 +541,18 @@ ObligationSet SoundnessChecker::lower(const Optimization &O,
 
   // Record the analysis labels the guard mentions: the soundness
   // guarantee is conditional on those analyses (checked separately).
-  auto Scan = [&](const FormulaPtr &F, auto &&ScanRef) -> void {
-    if (!F)
-      return;
-    if (F->K == Formula::Kind::FK_Label &&
-        Registry.isAnalysisLabel(F->LabelName)) {
-      auto It = AllLabels->find(F->LabelName);
-      std::string Dep = It != AllLabels->end()
-                            ? It->second->Name
-                            : F->LabelName + " (unknown)";
-      if (std::find(Set.AssumedAnalyses.begin(), Set.AssumedAnalyses.end(),
-                    Dep) == Set.AssumedAnalyses.end())
-        Set.AssumedAnalyses.push_back(Dep);
-    }
-    for (const FormulaPtr &Kid : F->Kids)
-      ScanRef(Kid, ScanRef);
-    for (const CaseArm &Arm : F->Arms)
-      ScanRef(Arm.Body, ScanRef);
-    if (F->ElseBody)
-      ScanRef(F->ElseBody, ScanRef);
-    // Recurse through predicate-label bodies for indirect uses.
-    if (F->K == Formula::Kind::FK_Label)
-      if (const LabelDef *Def = Registry.findPredicate(F->LabelName))
-        ScanRef(Def->Body, ScanRef);
-  };
-  Scan(O.Pat.G.Psi1, Scan);
-  Scan(O.Pat.G.Psi2, Scan);
+  std::vector<std::string> Read;
+  for (const FormulaPtr &F : {O.Pat.G.Psi1, O.Pat.G.Psi2})
+    if (F)
+      collectAnalysisLabels(*F, Registry, Read);
+  for (const std::string &Label : Read) {
+    auto It = AllLabels->find(Label);
+    std::string Dep =
+        It != AllLabels->end() ? It->second->Name : Label + " (unknown)";
+    if (std::find(Set.AssumedAnalyses.begin(), Set.AssumedAnalyses.end(),
+                  Dep) == Set.AssumedAnalyses.end())
+      Set.AssumedAnalyses.push_back(Dep);
+  }
 
   // The closures capture this pointer: the definition lives in the
   // caller and must outlive the set's check.

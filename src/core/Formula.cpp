@@ -291,6 +291,26 @@ void cobalt::collectFreeMetas(
   collectFreeMetasInto(F, Out, BoundStack);
 }
 
+void cobalt::collectAnalysisLabels(const Formula &F,
+                                   const LabelRegistry &Registry,
+                                   std::vector<std::string> &Out) {
+  if (F.K == Formula::Kind::FK_Label) {
+    if (Registry.isAnalysisLabel(F.LabelName)) {
+      if (std::find(Out.begin(), Out.end(), F.LabelName) == Out.end())
+        Out.push_back(F.LabelName);
+    } else if (const LabelDef *Def = Registry.findPredicate(F.LabelName)) {
+      collectAnalysisLabels(*Def->Body, Registry, Out);
+    }
+    return;
+  }
+  for (const FormulaPtr &Kid : F.Kids)
+    collectAnalysisLabels(*Kid, Registry, Out);
+  for (const CaseArm &Arm : F.Arms)
+    collectAnalysisLabels(*Arm.Body, Registry, Out);
+  if (F.ElseBody)
+    collectAnalysisLabels(*F.ElseBody, Registry, Out);
+}
+
 //===----------------------------------------------------------------------===//
 // Label registry.
 //===----------------------------------------------------------------------===//

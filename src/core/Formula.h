@@ -141,6 +141,15 @@ FormulaPtr fCase(Term Scrutinee, std::vector<CaseArm> Arms,
 void collectFreeMetas(const Formula &F,
                       std::vector<std::pair<std::string, MetaKind>> &Out);
 
+class LabelRegistry;
+
+/// Collects the analysis labels declared in \p Registry that ψ mentions,
+/// directly or through the body of a registered predicate label, first
+/// occurrence order, no duplicates. ψ reads the labeling through these
+/// and only these.
+void collectAnalysisLabels(const Formula &F, const LabelRegistry &Registry,
+                           std::vector<std::string> &Out);
+
 //===----------------------------------------------------------------------===//
 // Labels.
 //===----------------------------------------------------------------------===//

@@ -36,14 +36,25 @@ void PassManager::addAnalysis(PureAnalysis A) {
       !Registry.isAnalysisLabel(A.LabelName))
     Registry.declareAnalysisLabel(A.LabelName);
   Analyses.push_back(std::move(A));
-  Pipeline.push_back({/*IsAnalysis=*/true, Analyses.size() - 1});
+  // An analysis reads the labels of the analyses before it and adds its
+  // own, so it always needs current labels.
+  Pipeline.push_back(
+      {/*IsAnalysis=*/true, Analyses.size() - 1, /*ReadsLabels=*/true});
 }
 
 void PassManager::addOptimization(Optimization O) {
   assert(!validateOptimization(O) && "malformed optimization");
   registerLabels(O.Labels);
+  // A backward optimization runs with no labeling (§4.1); a forward one
+  // reads it only through the analysis labels its guard mentions.
+  std::vector<std::string> Read;
+  if (O.Pat.Dir == Direction::D_Forward) {
+    collectAnalysisLabels(*O.Pat.G.Psi1, Registry, Read);
+    collectAnalysisLabels(*O.Pat.G.Psi2, Registry, Read);
+  }
   Optimizations.push_back(std::move(O));
-  Pipeline.push_back({/*IsAnalysis=*/false, Optimizations.size() - 1});
+  Pipeline.push_back(
+      {/*IsAnalysis=*/false, Optimizations.size() - 1, !Read.empty()});
 }
 
 void PassManager::defineLabel(const LabelDef &Def) {
@@ -164,9 +175,11 @@ std::vector<PassReport> PassManager::runPasses(const std::vector<Pass> &ToRun,
     bool LabelsValid = true;
 
     // Recomputes the labeling by replaying every analysis before \p Upto
-    // (§4.1 forbids reusing labels across a rewrite). A throwing analysis
-    // contributes no labels, which degrades precision (fewer labels mean
-    // fewer matches), never soundness.
+    // (§4.1 forbids reusing labels across a rewrite). Stale labels stay
+    // stale through the passes that read none and are replayed once,
+    // inside the span of the next pass that reads them. A throwing
+    // analysis contributes no labels, which degrades precision (fewer
+    // labels mean fewer matches), never soundness.
     auto ReplayLabels = [&](const Pass &Upto) {
       support::TraceSpan Span("engine", "labels.replay");
       support::metricAdd("engine.label_replays");
@@ -199,7 +212,7 @@ std::vector<PassReport> PassManager::runPasses(const std::vector<Pass> &ToRun,
         PassSpan.arg("pass", Report.PassName);
         PassSpan.arg("proc", P.Name);
       }
-      if (!LabelsValid)
+      if (Ps.ReadsLabels && !LabelsValid)
         ReplayLabels(Ps);
 
       // One transactional step for both kinds of pass: snapshot what the
@@ -238,16 +251,15 @@ std::vector<PassReport> PassManager::runPasses(const std::vector<Pass> &ToRun,
         Report.Err = support::Error(Kind, Detail);
       };
       try {
-        // Forward analyses may feed forward optimizations (§4.1); a
-        // backward optimization must not consume them, so it runs with
-        // no labeling.
+        // Forward analyses may feed forward optimizations (§4.1); an
+        // optimization that reads no label (every backward one among
+        // them) runs with no labeling, so it cannot see stale labels.
         RunStats Stats;
         if (!O)
           runPureAnalysis(Analyses[Ps.Index], P, Registry, Labels, &Stats);
         else
-          Stats = runOptimization(
-              *O, P, Registry,
-              O->Pat.Dir == Direction::D_Backward ? nullptr : &Labels);
+          Stats = runOptimization(*O, P, Registry,
+                                  Ps.ReadsLabels ? &Labels : nullptr);
         Report.DeltaSize = Stats.DeltaSize;
         Report.FixpointIters = Stats.FixpointIters;
         if (Tx.Transactional && Stats.AppliedCount > 0)

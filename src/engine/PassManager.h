@@ -10,9 +10,11 @@
 /// labelings, and applies optimizations procedure by procedure. Enforces
 /// the paper's composition restriction (§2.4/§4.1): results of forward
 /// pure analyses may feed forward optimizations and other forward
-/// analyses, but a backward optimization in the pipeline invalidates the
-/// current labeling (labels are recomputed afterwards) — combining a
-/// forward analysis with a backward transformation may interfere.
+/// analyses, a backward optimization runs with no labeling, and any
+/// rewrite invalidates the current labeling. Stale labels are recomputed
+/// by replaying the earlier analyses before the next pass that reads
+/// labels: an analysis, or a forward optimization whose guard mentions an
+/// analysis label (directly or through a predicate's body).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,6 +103,9 @@ public:
   /// Registers a pass. Label definitions carried by the pass are added to
   /// the shared registry (duplicate definitions of the same label are
   /// tolerated if they were registered before — passes share mayDef etc.).
+  /// Whether an optimization reads labels is decided here, against the
+  /// registry so far: the predicates its guard uses must be registered
+  /// by then or carried in its own Labels.
   void addAnalysis(PureAnalysis A);
   void addOptimization(Optimization O);
 
@@ -147,6 +152,9 @@ private:
   struct Pass {
     bool IsAnalysis;
     size_t Index; ///< Into Analyses or Optimizations.
+    /// Set at registration: the pass reads the labeling, so stale labels
+    /// are replayed before it runs.
+    bool ReadsLabels;
   };
 
   void registerLabels(const std::vector<LabelDef> &Labels);

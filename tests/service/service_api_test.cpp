@@ -17,6 +17,7 @@
 
 #include "api/ReportJson.h"
 #include "api/Service.h"
+#include "checker/VerdictStore.h"
 #include "ir/Printer.h"
 #include "opts/Buggy.h"
 #include "opts/Labels.h"
@@ -299,6 +300,34 @@ TEST(ServiceApi, MemVsDiskCacheCounters) {
     EXPECT_EQ(counter(*Svc, "cache.mem.hits"), 0u);
   }
   fs::remove_all(Dir);
+}
+
+TEST(ServiceApi, StoredFingerprintsKeyVerdicts) {
+  // The service computes each definition's fingerprint once and keeps it
+  // beside the definition (analyses first); each equals a fresh
+  // checker's, and check() keys verdicts by them.
+  CobaltService::Builder B;
+  for (const LabelDef &Def : opts::standardLabels())
+    B.defineLabel(Def);
+  B.addAnalysis(opts::taintAnalysis());
+  B.addOptimization(opts::constProp());
+  B.addOptimization(opts::constPropPrecise());
+  std::shared_ptr<CobaltService> Svc = B.build();
+
+  checker::SoundnessChecker Fresh(Svc->registry(), Svc->analyses());
+  ASSERT_EQ(Svc->fingerprints(),
+            (std::vector<uint64_t>{
+                Fresh.fingerprintAnalysis(Svc->analyses()[0]),
+                Fresh.fingerprintOptimization(Svc->optimizations()[0]),
+                Fresh.fingerprintOptimization(Svc->optimizations()[1])}));
+
+  CheckRequest Req;
+  Req.Only = {"taint_analysis", "const_prop"};
+  ASSERT_TRUE(Svc->check(Req).ok());
+  const std::vector<uint64_t> &Keys = Svc->fingerprints();
+  EXPECT_FALSE(Svc->verdictCache()->claim(Keys[0]).leads());
+  EXPECT_FALSE(Svc->verdictCache()->claim(Keys[1]).leads());
+  EXPECT_TRUE(Svc->verdictCache()->claim(Keys[2]).leads()); // not checked
 }
 
 TEST(ServiceApi, PipelineRequestRoundTrip) {
