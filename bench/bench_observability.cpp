@@ -7,14 +7,14 @@
 /// Prices the observability tier (DESIGN.md §9) on the warm daemon
 /// path, where its relative cost is highest: every request is answered
 /// from the verdict cache / dedup memo, so span recording, trace-ID
-/// plumbing, latency histograms, and flight-recorder notes are a large
-/// fraction of the little work that remains.
+/// plumbing, and latency histograms are a large fraction of the little
+/// work that remains.
 ///
 /// Two identical daemons serve the same warm mixed batch (70%
 /// single-definition checks, 20% full-suite checks, 10% stats), one
-/// with telemetry off, one with tracing + metrics + flight recorder
-/// on. Batches alternate off/on for several repetitions and each side
-/// keeps its best wall, squeezing scheduler drift out of the ratio.
+/// with telemetry off, one with tracing + metrics on. Batches alternate
+/// off/on for several repetitions and each side keeps its best wall,
+/// squeezing scheduler drift out of the ratio.
 ///
 /// Gate (exit nonzero on failure, enforced by `ctest -L benchgate`):
 ///   - telemetry-on wall <= telemetry-off wall * 1.03 + 0.20 s
@@ -168,10 +168,9 @@ int main(int Argc, char **Argv) {
 
   // What the enabled side actually recorded while being measured — the
   // run is only an honest price if the instrumentation really fired.
-  uint64_t Spans = 0, FlightEvents = 0, LatencySamples = 0;
+  uint64_t Spans = 0, LatencySamples = 0;
   if (support::Telemetry *T = On.Svc->telemetry()) {
     Spans = T->Trace.eventCount();
-    FlightEvents = T->Metrics.counter("flight.events");
     LatencySamples = T->Metrics.histogram("service.latency.check").Count +
                      T->Metrics.histogram("service.latency.stats").Count;
   }
@@ -181,7 +180,7 @@ int main(int Argc, char **Argv) {
   constexpr double RatioMax = 1.03, AbsToleranceS = 0.20;
   double Overhead =
       Off.BestWall > 0.0 ? On.BestWall / Off.BestWall - 1.0 : 0.0;
-  bool Recorded = Spans > 0 && FlightEvents > 0 && LatencySamples > 0;
+  bool Recorded = Spans > 0 && LatencySamples > 0;
   bool GateWall = On.BestWall <= Off.BestWall * RatioMax + AbsToleranceS;
   bool Pass = GateWall && Recorded;
 
@@ -190,10 +189,9 @@ int main(int Argc, char **Argv) {
               Off.BestWall, On.BestWall, Overhead * 1e2,
               (RatioMax - 1.0) * 1e2, AbsToleranceS,
               GateWall ? "PASS" : "FAIL");
-  std::printf("  recorded while measured: %llu span(s), %llu flight "
-              "event(s), %llu latency sample(s) %s\n",
+  std::printf("  recorded while measured: %llu span(s), %llu latency "
+              "sample(s) %s\n",
               static_cast<unsigned long long>(Spans),
-              static_cast<unsigned long long>(FlightEvents),
               static_cast<unsigned long long>(LatencySamples),
               Recorded ? "" : "[GATE: telemetry never fired]");
 
@@ -209,10 +207,8 @@ int main(int Argc, char **Argv) {
   J += Buf;
   std::snprintf(
       Buf, sizeof(Buf),
-      "  \"recorded\": {\"spans\": %llu, \"flight_events\": %llu, "
-      "\"latency_samples\": %llu},\n",
+      "  \"recorded\": {\"spans\": %llu, \"latency_samples\": %llu},\n",
       static_cast<unsigned long long>(Spans),
-      static_cast<unsigned long long>(FlightEvents),
       static_cast<unsigned long long>(LatencySamples));
   J += Buf;
   std::snprintf(Buf, sizeof(Buf),

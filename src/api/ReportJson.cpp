@@ -6,43 +6,11 @@
 
 #include "api/ReportJson.h"
 
-#include <cstdio>
+#include "support/JsonEscape.h"
 
 using namespace cobalt;
 using namespace cobalt::api;
-
-std::string api::jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
-}
+using support::jsonEscape;
 
 void api::emitDefinitionsJson(
     std::string &Out, const std::vector<checker::CheckReport> &Reports) {

@@ -29,9 +29,6 @@
 namespace cobalt {
 namespace api {
 
-/// Escapes \p S for embedding inside a JSON string literal.
-std::string jsonEscape(const std::string &S);
-
 /// Appends `"definitions": [...]` (two-space indented, no trailing
 /// comma) for a suite of check reports.
 void emitDefinitionsJson(std::string &Out,

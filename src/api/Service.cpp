@@ -23,8 +23,6 @@ const char *api::responseStatusName(ResponseStatus S) {
   switch (S) {
   case ResponseStatus::RS_Ok:
     return "ok";
-  case ResponseStatus::RS_Retry:
-    return "retry";
   case ResponseStatus::RS_Error:
     return "error";
   }
@@ -41,11 +39,9 @@ void api::preregisterHeadlineCounters(support::Telemetry &T) {
       "cache.disk.hits",         "cache.disk.misses",
       "cache.disk.stores",       "cache.disk.corrupt",
       "service.requests",        "service.requests.check",
-      "service.requests.run",    "service.requests.retry",
-      "service.requests.error",  "service.dedup.leader",
-      "service.dedup.await",     "service.dedup.served",
-      "service.admission.rejected",
-      "flight.events",
+      "service.requests.run",    "service.requests.error",
+      "service.dedup.leader",    "service.dedup.await",
+      "service.dedup.served",
       "worker.spawns",           "worker.restarts",
       "worker.crashes",          "worker.kills_wall",
       "worker.kills_rss",        "worker.quarantined",
@@ -280,68 +276,30 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
     return Resp;
   }
 
-  // Claim every target — leaders prove, the rest are served by the store
-  // — and take the admission decision atomically, so two racing requests
-  // cannot both believe they fit under the bound. Each lead is lowered
-  // here, with its stored fingerprint, so admission counts the
-  // obligations it will really prove.
+  // Claim every target: leaders prove, the rest are served by the store.
+  // The store's claims are thread-safe, and this request settles its own
+  // leads before it waits on any claim it joined, so two requests that
+  // each lead what the other joined both finish (DESIGN.md §8). Each lead
+  // is lowered here, with its stored fingerprint.
   std::vector<checker::VerdictStore::Claim> Claims;
   std::vector<size_t> Leaders;               ///< Indices into Targets.
   std::vector<checker::ObligationSet> Leads; ///< Parallel to Leaders.
-  uint64_t Estimate = 0;                     ///< Obligations in Leads.
-  {
-    std::lock_guard<std::mutex> Lock(ServiceMutex);
-    Claims.reserve(Targets.size());
-    for (size_t I = 0; I < Targets.size(); ++I) {
-      const Target &T = Targets[I];
-      Claims.push_back(Store->claim(T.Fingerprint, TraceId));
-      if (!Claims.back().leads())
-        continue;
-      Leaders.push_back(I);
-      Leads.push_back(
-          T.IsAnalysis
-              ? Checker.lower(analyses()[T.Index], T.Fingerprint)
-              : Checker.lower(optimizations()[T.Index], T.Fingerprint));
-      Leads.back().Cacheable = false;
-      Estimate += Leads.back().Obligations.size();
-    }
-    bool Idle = InFlightObligations == 0;
-    if (!Leaders.empty() && Config.MaxInFlightObligations != 0 && !Idle &&
-        InFlightObligations + Estimate > Config.MaxInFlightObligations) {
-      // Turned away with no side effects: dropping the claims under the
-      // lock forgets every key this request led before anyone joined, and
-      // nothing was reserved. (Idle services always admit, so one
-      // oversized suite cannot be starved forever.)
-      Claims.clear();
-      support::metricAdd("service.admission.rejected");
-      support::metricAdd("service.requests.retry");
-      support::flightNote("admission.reject",
-                          std::to_string(InFlightObligations) +
-                              " in flight + estimate " +
-                              std::to_string(Estimate) + " > bound " +
-                              std::to_string(
-                                  Config.MaxInFlightObligations));
-      Resp.Status = ResponseStatus::RS_Retry;
-      Resp.Err = support::Error(
-          ErrorKind::EK_Unavailable,
-          "admission control: " + std::to_string(InFlightObligations) +
-              " obligation(s) in flight, request estimated at " +
-              std::to_string(Estimate) + " would exceed the bound of " +
-              std::to_string(Config.MaxInFlightObligations));
-      return Resp;
-    }
-    InFlightObligations += Estimate;
+  Claims.reserve(Targets.size());
+  for (size_t I = 0; I < Targets.size(); ++I) {
+    const Target &T = Targets[I];
+    Claims.push_back(Store->claim(T.Fingerprint, TraceId));
+    if (!Claims.back().leads())
+      continue;
+    Leaders.push_back(I);
+    Leads.push_back(
+        T.IsAnalysis
+            ? Checker.lower(analyses()[T.Index], T.Fingerprint)
+            : Checker.lower(optimizations()[T.Index], T.Fingerprint));
+    Leads.back().Cacheable = false;
   }
   const size_t Served = Targets.size() - Leaders.size();
   support::metricAdd("service.dedup.leader", Leaders.size());
   support::metricAdd("service.dedup.await", Served);
-  if (!Leaders.empty())
-    support::flightNote("dedup.leader",
-                        std::to_string(Leaders.size()) +
-                            " definition(s) to prove");
-  if (Served != 0)
-    support::flightNote("dedup.await", std::to_string(Served) +
-                                           " definition(s) served from memo");
 
   // Prove the leads. checkObligationSets fans every lead's obligations
   // out at once, so one request overlaps all of its obligations.
@@ -370,19 +328,11 @@ CheckResponse CobaltService::check(const CheckRequest &Req) {
       // Waiters receive the exception and the keys are forgotten, so
       // later requests re-prove.
       std::exception_ptr E = std::current_exception();
-      {
-        std::lock_guard<std::mutex> Lock(ServiceMutex);
-        InFlightObligations -= Estimate;
-      }
       for (size_t I : Leaders)
         Store->abandon(Claims[I], E);
       throw;
     }
 
-    {
-      std::lock_guard<std::mutex> Lock(ServiceMutex);
-      InFlightObligations -= Estimate;
-    }
     std::vector<uint64_t> FollowerIds;
     for (size_t R = 0; R < Leaders.size(); ++R) {
       std::vector<uint64_t> Ids =

@@ -37,8 +37,7 @@
 ///    without trampling each other.
 ///
 /// Responses are values too (`CheckResponse` / `PipelineResponse`), with
-/// a three-way status: Ok, Retry (admission control turned the request
-/// away — back off and resend), or Error.
+/// a two-way status: Ok or Error.
 ///
 /// ## Obligation dedup
 ///
@@ -53,14 +52,6 @@
 /// service's lifetime; Unproven reports are handed to current waiters
 /// and forgotten, so a later request re-proves them. Validation requests
 /// dedup the same way on the pair fingerprint.
-///
-/// ## Admission control
-///
-/// `CobaltConfig::MaxInFlightObligations` bounds the obligations being
-/// proven at once. A request whose leader set would push past the bound
-/// gets `RS_Retry` (never queued invisibly) — unless the service is
-/// idle, in which case it is always admitted so one oversized suite can
-/// still make progress.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -112,10 +103,6 @@ struct CobaltConfig {
   /// default: with it off, instrumentation sites cost one relaxed atomic
   /// load each.
   bool Telemetry = false;
-  /// Admission bound: maximum obligations in flight across all requests
-  /// (0 = unlimited). A check request that would exceed it receives
-  /// RS_Retry instead of queueing, except when the service is idle.
-  unsigned MaxInFlightObligations = 0;
 };
 
 /// Outcome of proving a set of registered definitions.
@@ -155,12 +142,9 @@ struct PipelineResult {
   bool Degraded = false; ///< Some report failed (and was rolled back).
 };
 
-/// Three-way request outcome. Retry is admission control speaking: the
-/// request was *not* processed (no partial effects) and should be
-/// resent after a backoff.
+/// Request outcome: Ok, or Error with the response's Err populated.
 enum class ResponseStatus {
   RS_Ok,
-  RS_Retry,
   RS_Error,
 };
 
@@ -183,8 +167,8 @@ struct CheckRequest {
   uint64_t FaultKeySalt = 0;
   /// Request trace ID (nonzero = caller-supplied, e.g. forwarded by the
   /// daemon from the protocol frame); 0 = the service mints one. Every
-  /// span and flight event this request produces — including prover-
-  /// worker spans across the fork — carries it.
+  /// span this request produces — including prover-worker spans across
+  /// the fork — carries it.
   uint64_t TraceId = 0;
 };
 
@@ -197,7 +181,6 @@ struct CheckResponse {
   support::Error Err; ///< Populated when Status == RS_Error.
 
   bool ok() const { return Status == ResponseStatus::RS_Ok; }
-  bool retry() const { return Status == ResponseStatus::RS_Retry; }
 };
 
 /// One pipeline request. Owns its program: the service transforms a copy
@@ -362,12 +345,6 @@ private:
   std::unique_ptr<support::Telemetry> Telem;
   /// Dedup memo for validate() requests, keyed by fingerprintPair.
   support::SingleFlight<validate::ValidationReport> Validations;
-
-  /// Guards check()'s claims in the verdict store and the admission
-  /// ledger — one lock because admission decisions must see a consistent
-  /// leader set.
-  mutable std::mutex ServiceMutex;
-  uint64_t InFlightObligations = 0;
 
   /// Fork-safety (DESIGN.md §12): a subprocess-isolation leader forks
   /// prover workers, which must not happen while another thread is

@@ -147,8 +147,6 @@ ProverWorkerPool::WorkerPtr ProverWorkerPool::spawnOne() {
     AllFds.push_back(W->socketFd());
   }
   support::metricAdd("worker.spawns");
-  support::flightNote("worker.spawn",
-                      "pid " + std::to_string(W->pid()));
   return W;
 }
 
@@ -208,9 +206,6 @@ ObligationResult ProverWorkerPool::run(unsigned Lane, size_t Index,
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - ForkStart)
                 .count());
-        support::flightNote("worker.respawn",
-                            Name + " attempt " + std::to_string(Attempt),
-                            TraceId);
       }
     }
 
@@ -265,15 +260,24 @@ ObligationResult ProverWorkerPool::run(unsigned Lane, size_t Index,
       break;
     }
     support::metricAdd(Metric);
-    support::flightNote("worker.kill", Name + ": " + LastWhy, TraceId);
+    if (TraceWanted) {
+      // A zero-length span on this lane: which obligation's worker died
+      // and why, even when a retry then succeeds.
+      support::TraceEvent Kill;
+      Kill.Cat = "worker";
+      Kill.Name = "kill";
+      Kill.Lane = support::TraceRecorder::currentLane();
+      Kill.StartUs = T->Trace.nowUs();
+      Kill.TraceId = TraceId;
+      Kill.Args = {{"ob", Name}, {"why", LastWhy}};
+      T->Trace.record(std::move(Kill));
+    }
     discard(std::move(W));
   }
 
   // Quarantine: this obligation has consumed its worker budget. Degrade
   // it to unproven — never cached, never fatal — and let the run finish.
   support::metricAdd("worker.quarantined");
-  support::flightNote("worker.quarantine", Name + ": " + LastWhy,
-                      TraceId);
   ObligationResult R;
   R.Name = Name;
   R.St = ObligationResult::Status::OS_Unknown;

@@ -9,12 +9,12 @@
 #include "api/ReportJson.h"
 #include "ir/Printer.h"
 #include "service/Protocol.h"
+#include "support/JsonEscape.h"
 #include "support/Subprocess.h"
 
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <fstream>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -73,13 +73,14 @@ void Daemon::acceptLoop() {
     int Conn = ::accept(ListenFd, nullptr, nullptr);
     if (Conn < 0)
       continue;
+    reapFinished();
     std::lock_guard<std::mutex> Lock(ConnMutex);
     if (Stopping.load(std::memory_order_relaxed)) {
       ::close(Conn);
       break;
     }
-    ConnFds.push_back(Conn);
-    ConnThreads.emplace_back([this, Conn] { serveConnection(Conn); });
+    Conns.push_back(
+        {Conn, std::thread([this, Conn] { serveConnection(Conn); })});
   }
   // Wake wait()ers: either stop() was requested or the listener died.
   Stopping.store(true, std::memory_order_relaxed);
@@ -106,16 +107,29 @@ void Daemon::serveConnection(int Fd) {
       break;
     }
   }
-  // Self-reap the fd (long-lived daemons must not accumulate fds from
-  // finished connections); stop() only touches fds still registered.
+  // Retire the connection: close its fd here and hand its thread to
+  // Finished, so a long-lived daemon accumulates neither fds nor stacks
+  // of finished connections. (stop() may already hold the thread.)
   std::lock_guard<std::mutex> Lock(ConnMutex);
-  for (size_t I = 0; I < ConnFds.size(); ++I)
-    if (ConnFds[I] == Fd) {
-      ConnFds.erase(ConnFds.begin() + static_cast<long>(I));
+  for (auto It = Conns.begin(); It != Conns.end(); ++It)
+    if (It->Fd == Fd) {
+      Finished.push_back(std::move(It->Thread));
+      Conns.erase(It);
       break;
     }
   ::shutdown(Fd, SHUT_RDWR);
   ::close(Fd);
+}
+
+void Daemon::reapFinished() {
+  std::vector<std::thread> Done;
+  {
+    std::lock_guard<std::mutex> Lock(ConnMutex);
+    Done.swap(Finished);
+  }
+  for (std::thread &T : Done)
+    if (T.joinable())
+      T.join();
 }
 
 std::string Daemon::handleFrame(const std::string &Payload, bool &Shutdown) {
@@ -124,7 +138,7 @@ std::string Daemon::handleFrame(const std::string &Payload, bool &Shutdown) {
   if (!Req || Req->K != JsonValue::Kind::JK_Object)
     return "{\"status\": \"error\", \"error\": \"parse_error\", "
            "\"reason\": \"" +
-           api::jsonEscape(ParseErr.empty() ? "request is not an object"
+           support::jsonEscape(ParseErr.empty() ? "request is not an object"
                                             : ParseErr) +
            "\"}";
   const JsonValue *Cmd = Req->find("cmd");
@@ -132,8 +146,8 @@ std::string Daemon::handleFrame(const std::string &Payload, bool &Shutdown) {
 
   // Trace context: a client-supplied trace_id is adopted verbatim; a
   // frame without one gets a freshly minted ID. Either way every span
-  // and flight event this frame produces — daemon, service, and prover
-  // workers across the fork — carries the same 64-bit ID.
+  // this frame produces — daemon, service, and prover workers across
+  // the fork — carries the same 64-bit ID.
   uint64_t TraceId = 0;
   if (const JsonValue *V = Req->find("trace_id"))
     TraceId = V->asU64();
@@ -177,15 +191,13 @@ std::string Daemon::handleFrame(const std::string &Payload, bool &Shutdown) {
     Observe("service.latency.stats");
     return Resp;
   }
-  if (Name == "dump")
-    return handleDump();
   if (Name == "shutdown") {
     Shutdown = true;
     return "{\"status\": \"ok\", \"stopping\": true}";
   }
   return "{\"status\": \"error\", \"error\": \"parse_error\", "
          "\"reason\": \"unknown cmd '" +
-         api::jsonEscape(Name) + "'\"}";
+         support::jsonEscape(Name) + "'\"}";
 }
 
 std::string Daemon::handlePing() {
@@ -207,18 +219,10 @@ std::string Daemon::handleCheck(const JsonValue &Req, uint64_t TraceId) {
     CR.FaultKeySalt = V->asU64();
 
   api::CheckResponse R = Svc->check(CR);
-  // The black box earns its keep exactly here: containment degraded a
-  // verdict, so preserve the events that led up to it before they are
-  // overwritten by newer traffic.
-  if (R.Suite.Quarantined != 0)
-    dumpFlightRecorder("worker_quarantine");
-  if (R.Status == api::ResponseStatus::RS_Retry)
-    return "{\"status\": \"retry\", \"reason\": \"" +
-           api::jsonEscape(R.Err.Message) + "\"}";
   if (R.Status == api::ResponseStatus::RS_Error)
     return "{\"status\": \"error\", \"error\": \"" +
            std::string(R.Err.kindName()) + "\", \"reason\": \"" +
-           api::jsonEscape(R.Err.Message) + "\"}";
+           support::jsonEscape(R.Err.Message) + "\"}";
 
   std::string Out = "{\n  \"status\": \"ok\",\n";
   api::emitDefinitionsJson(Out, R.Suite.Reports);
@@ -226,7 +230,7 @@ std::string Daemon::handleCheck(const JsonValue &Req, uint64_t TraceId) {
   for (size_t I = 0; I < R.Remarks.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += "\"" + api::jsonEscape(R.Remarks[I].str()) + "\"";
+    Out += "\"" + support::jsonEscape(R.Remarks[I].str()) + "\"";
   }
   Out += "],\n  \"exit\": " +
          std::to_string(api::CobaltService::exitCodeFor(
@@ -244,7 +248,7 @@ std::string Daemon::handleRun(const JsonValue &Req, uint64_t TraceId) {
   if (!Prog)
     return "{\"status\": \"error\", \"error\": \"" +
            std::string(Prog.error().kindName()) + "\", \"reason\": \"" +
-           api::jsonEscape(Prog.error().Message) + "\"}";
+           support::jsonEscape(Prog.error().Message) + "\"}";
 
   api::PipelineRequest PR;
   PR.Prog = Prog.take();
@@ -261,8 +265,8 @@ std::string Daemon::handleRun(const JsonValue &Req, uint64_t TraceId) {
   Out += ",\n  \"applied\": " + std::to_string(R.Result.Applied);
   Out += ",\n  \"degraded\": ";
   Out += R.Result.Degraded ? "true" : "false";
-  Out += ",\n  \"optimized_il\": \"" + api::jsonEscape(ir::toString(R.Prog)) +
-         "\"";
+  Out += ",\n  \"optimized_il\": \"" +
+         support::jsonEscape(ir::toString(R.Prog)) + "\"";
   Out += ",\n  \"exit\": " + std::to_string(R.Result.Degraded ? 3 : 0);
   Out += "\n}";
   return Out;
@@ -280,12 +284,12 @@ std::string Daemon::handleValidate(const JsonValue &Req, uint64_t TraceId) {
   if (!Orig)
     return "{\"status\": \"error\", \"error\": \"" +
            std::string(Orig.error().kindName()) + "\", \"reason\": \"" +
-           api::jsonEscape("original: " + Orig.error().Message) + "\"}";
+           support::jsonEscape("original: " + Orig.error().Message) + "\"}";
   support::Expected<ir::Program> Cand = Svc->parseProgram(Candidate->Str);
   if (!Cand)
     return "{\"status\": \"error\", \"error\": \"" +
            std::string(Cand.error().kindName()) + "\", \"reason\": \"" +
-           api::jsonEscape("candidate: " + Cand.error().Message) + "\"}";
+           support::jsonEscape("candidate: " + Cand.error().Message) + "\"}";
 
   api::ValidateRequest VR;
   VR.Original = Orig.take();
@@ -302,7 +306,7 @@ std::string Daemon::handleValidate(const JsonValue &Req, uint64_t TraceId) {
   if (R.Status == api::ResponseStatus::RS_Error)
     return "{\"status\": \"error\", \"error\": \"" +
            std::string(R.Err.kindName()) + "\", \"reason\": \"" +
-           api::jsonEscape(R.Err.Message) + "\"}";
+           support::jsonEscape(R.Err.Message) + "\"}";
 
   std::string Out = "{\n  \"status\": \"ok\",\n";
   api::emitValidationJson(Out, R.Report);
@@ -325,26 +329,6 @@ std::string Daemon::handleStats() {
   return Out;
 }
 
-std::string Daemon::dumpFlightRecorder(const std::string &Reason) {
-  support::Telemetry *T = Svc->telemetry();
-  std::string Json = T ? T->Flight.json(Reason.c_str())
-                       : std::string("{\"flightEvents\": []}\n");
-  std::lock_guard<std::mutex> Lock(FlightMutex);
-  if (!FlightPath.empty()) {
-    std::ofstream Out(FlightPath, std::ios::trunc);
-    Out << Json;
-  }
-  return Json;
-}
-
-std::string Daemon::handleDump() {
-  std::string Flight = dumpFlightRecorder("dump_frame");
-  while (!Flight.empty() &&
-         (Flight.back() == '\n' || Flight.back() == ' '))
-    Flight.pop_back();
-  return "{\"status\": \"ok\", \"flight\": " + Flight + "}";
-}
-
 void Daemon::wait() {
   std::unique_lock<std::mutex> Lock(StopMutex);
   StopCv.wait(Lock, [this] {
@@ -360,22 +344,19 @@ void Daemon::stop() {
   }
   if (Acceptor.joinable())
     Acceptor.join();
+  // Wake every live connection (its blocking read sees EOF) and join
+  // it; each closes its own fd on the way out.
   std::vector<std::thread> Threads;
   {
     std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (int Fd : ConnFds)
-      ::shutdown(Fd, SHUT_RDWR);
-    Threads.swap(ConnThreads);
+    for (Connection &C : Conns) {
+      ::shutdown(C.Fd, SHUT_RDWR);
+      Threads.push_back(std::move(C.Thread));
+    }
   }
   for (std::thread &T : Threads)
-    if (T.joinable())
-      T.join();
-  {
-    std::lock_guard<std::mutex> Lock(ConnMutex);
-    for (int Fd : ConnFds)
-      ::close(Fd);
-    ConnFds.clear();
-  }
+    T.join();
+  reapFinished();
   if (ListenFd != -1) {
     ::close(ListenFd);
     ListenFd = -1;

@@ -10,7 +10,8 @@
 /// frames (service/Protocol.h), drives one shared api::CobaltService,
 /// and answers with the same serialized reports cobaltc emits.
 ///
-/// Threading: one accept thread plus one thread per live connection. A
+/// Threading: one accept thread plus one thread per live connection
+/// (the accept loop joins finished ones as new connections arrive). A
 /// connection's frames are answered strictly in order (pipelining =
 /// request batching); frames on *different* connections execute
 /// concurrently and the service deduplicates overlapping obligations —
@@ -73,23 +74,17 @@ public:
   const std::string &socketPath() const { return SocketPath; }
   bool running() const { return Running.load(std::memory_order_relaxed); }
 
-  /// Where flight-recorder dumps go (--flight-recorder=). Set before
-  /// start(); empty = dumps are returned over the wire but never hit
-  /// disk. The file is overwritten on every dump — the *latest* black
-  /// box is the one a post-mortem wants.
-  void setFlightRecorderPath(std::string Path) {
-    FlightPath = std::move(Path);
-  }
-
-  /// Snapshots the service's flight recorder: returns the black-box JSON
-  /// (tagged with \p Reason) and writes it to the configured path, if
-  /// any. Called on worker quarantine, an explicit "dump" frame, and by
-  /// cobaltd on SIGTERM / degraded exit. Thread-safe.
-  std::string dumpFlightRecorder(const std::string &Reason);
-
 private:
+  /// One live connection: its socket and the thread serving it.
+  struct Connection {
+    int Fd;
+    std::thread Thread;
+  };
+
   void acceptLoop();
   void serveConnection(int Fd);
+  /// Joins the threads of connections that have finished.
+  void reapFinished();
   /// One request frame in, one response frame out. Sets \p Shutdown when
   /// the frame was a shutdown command.
   std::string handleFrame(const std::string &Payload, bool &Shutdown);
@@ -99,20 +94,20 @@ private:
   std::string handleValidate(const JsonValue &Req, uint64_t TraceId);
   std::string handlePing();
   std::string handleStats();
-  std::string handleDump();
 
   std::shared_ptr<api::CobaltService> Svc;
   std::string SocketPath;
-  std::string FlightPath; ///< Flight-recorder dump file; empty = none.
-  std::mutex FlightMutex; ///< Serializes dump-file writes.
   int ListenFd = -1;
   std::atomic<bool> Stopping{false};
   std::atomic<bool> Running{false};
   std::optional<support::TelemetryScope> LifetimeScope;
   std::thread Acceptor;
   std::mutex ConnMutex;
-  std::vector<std::thread> ConnThreads;
-  std::vector<int> ConnFds;
+  std::vector<Connection> Conns; ///< Live connections.
+  /// Threads of finished connections, not yet joined: an exited thread
+  /// keeps its stack until it is joined, so the accept loop joins these
+  /// as new connections arrive.
+  std::vector<std::thread> Finished;
   std::mutex StopMutex;
   std::condition_variable StopCv;
   bool Stopped = false;

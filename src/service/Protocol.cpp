@@ -6,7 +6,7 @@
 
 #include "service/Protocol.h"
 
-#include "api/ReportJson.h"
+#include "support/JsonEscape.h"
 
 #include <cctype>
 #include <cstdlib>
@@ -288,7 +288,7 @@ static void appendStringArray(std::string &Out, const char *Name,
   for (size_t I = 0; I < Items.size(); ++I) {
     if (I)
       Out += ", ";
-    Out += "\"" + api::jsonEscape(Items[I]) + "\"";
+    Out += "\"" + support::jsonEscape(Items[I]) + "\"";
   }
   Out += "]";
 }
@@ -318,7 +318,7 @@ std::string service::makeRunRequest(const std::string &ProgramText,
                                     bool SelectedOnly, unsigned Jobs,
                                     uint64_t TraceId) {
   std::string Out = "{\"cmd\": \"run\", \"program\": \"" +
-                    api::jsonEscape(ProgramText) + "\"";
+                    support::jsonEscape(ProgramText) + "\"";
   if (SelectedOnly) {
     appendStringArray(Out, "selected", Selected);
     Out += ", \"selected_only\": true";
@@ -336,8 +336,9 @@ std::string service::makeValidateRequest(const std::string &OriginalText,
                                          unsigned Jobs, int64_t BudgetMs,
                                          uint64_t TraceId) {
   std::string Out = "{\"cmd\": \"validate\", \"original\": \"" +
-                    api::jsonEscape(OriginalText) + "\", \"candidate\": \"" +
-                    api::jsonEscape(CandidateText) + "\"";
+                    support::jsonEscape(OriginalText) +
+                    "\", \"candidate\": \"" +
+                    support::jsonEscape(CandidateText) + "\"";
   if (Jobs != 0)
     Out += ", \"jobs\": " + std::to_string(Jobs);
   if (BudgetMs >= 0)
@@ -349,8 +350,6 @@ std::string service::makeValidateRequest(const std::string &OriginalText,
 }
 
 std::string service::makeStatsRequest() { return "{\"cmd\": \"stats\"}"; }
-
-std::string service::makeDumpRequest() { return "{\"cmd\": \"dump\"}"; }
 
 std::string service::makeShutdownRequest() {
   return "{\"cmd\": \"shutdown\"}";

@@ -18,17 +18,13 @@
 ///   {"cmd": "validate", "original": "<IL text>", "candidate":
 ///    "<IL text>", "jobs": 0, "budget_ms": -1, "trace_id": 1234}
 ///   {"cmd": "stats"}
-///   {"cmd": "dump"}
 ///   {"cmd": "shutdown"}
 ///
 /// "trace_id" is the client's 64-bit request trace ID (decimal; 0/absent
-/// = the daemon mints one). It tags every span and flight-recorder event
-/// the request produces, through the service and across the prover-
-/// worker fork. "dump" snapshots the daemon's flight recorder: the
-/// response carries the black-box JSON inline (and the daemon also
-/// writes it to --flight-recorder= when configured).
+/// = the daemon mints one). It tags every span the request produces,
+/// through the service and across the prover-worker fork.
 ///
-/// Responses carry "status": "ok" | "retry" | "error" plus
+/// Responses carry "status": "ok" | "error" plus
 /// command-specific members ("definitions", "pipeline", "exit", ...),
 /// emitted by the same api::ReportJson serializers cobaltc uses for
 /// --report=json — one serializer, so N clients asking for the same
@@ -55,8 +51,9 @@ namespace cobalt {
 namespace service {
 
 /// Protocol revision, reported by "ping". Bump on incompatible change
-/// (2: "pipeline" entries no longer carry "quarantined").
-inline constexpr int ProtocolVersion = 2;
+/// (2: "pipeline" entries no longer carry "quarantined"; 3: no "dump"
+/// command and no "retry" status).
+inline constexpr int ProtocolVersion = 3;
 
 /// A parsed JSON value — the minimal DOM the daemon needs to read
 /// requests and clients need to read response envelopes. Numbers keep
@@ -120,7 +117,6 @@ std::string makeValidateRequest(const std::string &OriginalText,
                                 unsigned Jobs = 0, int64_t BudgetMs = -1,
                                 uint64_t TraceId = 0);
 std::string makeStatsRequest();
-std::string makeDumpRequest();
 std::string makeShutdownRequest();
 /// @}
 

@@ -6,6 +6,8 @@
 
 #include "support/Telemetry.h"
 
+#include "support/JsonEscape.h"
+
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -90,37 +92,6 @@ uint64_t support::mintTraceId() {
 }
 
 namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-void appendEscaped(std::string &Out, std::string_view S) {
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C;
-      }
-    }
-  }
-}
 
 /// Fixed-format double: histograms dump with 6 decimal places so the
 /// rendering never depends on locale or shortest-round-trip quirks.
@@ -240,7 +211,7 @@ std::string MetricsRegistry::json() const {
     Out += First ? "\n" : ",\n";
     First = false;
     Out += "    \"";
-    appendEscaped(Out, Name);
+    appendJsonEscaped(Out, Name);
     Out += "\": " + std::to_string(Value);
   }
   Out += First ? "},\n" : "\n  },\n";
@@ -251,7 +222,7 @@ std::string MetricsRegistry::json() const {
     Out += First ? "\n" : ",\n";
     First = false;
     Out += "    \"";
-    appendEscaped(Out, Name);
+    appendJsonEscaped(Out, Name);
     Out += "\": " + std::to_string(Value);
   }
   Out += First ? "},\n" : "\n  },\n";
@@ -262,7 +233,7 @@ std::string MetricsRegistry::json() const {
     Out += First ? "\n" : ",\n";
     First = false;
     Out += "    \"";
-    appendEscaped(Out, Name);
+    appendJsonEscaped(Out, Name);
     Out += "\": {\"count\": " + std::to_string(H.Count) +
            ", \"sum\": " + fixedDouble(H.Sum) +
            ", \"min\": " + fixedDouble(H.Min) +
@@ -493,7 +464,7 @@ std::string TraceRecorder::json() const {
     if (WithTid)
       Out += ", \"tid\": " + std::to_string(Tid);
     Out += ", \"args\": {\"name\": \"";
-    appendEscaped(Out, Name);
+    appendJsonEscaped(Out, Name);
     Out += "\"}}";
   };
 
@@ -519,9 +490,9 @@ std::string TraceRecorder::json() const {
     Out += First ? "" : ",\n";
     First = false;
     Out += "  {\"name\": \"";
-    appendEscaped(Out, E.Name);
+    appendJsonEscaped(Out, E.Name);
     Out += "\", \"cat\": \"";
-    appendEscaped(Out, E.Cat);
+    appendJsonEscaped(Out, E.Cat);
     Out += "\", \"ph\": \"X\", \"ts\": " + std::to_string(E.StartUs) +
            ", \"dur\": " + std::to_string(E.DurUs) +
            ", \"pid\": " + std::to_string(E.Pid == 0 ? 1 : E.Pid) +
@@ -534,9 +505,9 @@ std::string TraceRecorder::json() const {
           Out += ", ";
         FirstArg = false;
         Out += "\"";
-        appendEscaped(Out, Key);
+        appendJsonEscaped(Out, Key);
         Out += "\": \"";
-        appendEscaped(Out, Value);
+        appendJsonEscaped(Out, Value);
         Out += "\"";
       };
       for (const auto &[Key, Value] : E.Args)
@@ -557,81 +528,6 @@ std::string TraceRecorder::json() const {
     Out += "}";
   }
   Out += "\n]}\n";
-  return Out;
-}
-
-//===----------------------------------------------------------------------===//
-// FlightRecorder.
-//===----------------------------------------------------------------------===//
-
-FlightRecorder::FlightRecorder(size_t Capacity)
-    : Epoch(std::chrono::steady_clock::now()) {
-  Ring.resize(std::max<size_t>(1, Capacity));
-}
-
-void FlightRecorder::setCapacity(size_t Capacity) {
-  std::lock_guard<std::mutex> Lock(M);
-  Ring.assign(std::max<size_t>(1, Capacity), FlightEvent());
-  Next = 0;
-}
-
-size_t FlightRecorder::capacity() const {
-  std::lock_guard<std::mutex> Lock(M);
-  return Ring.size();
-}
-
-void FlightRecorder::note(const char *Kind, std::string Detail,
-                          uint64_t TraceId) {
-  if (TraceId == 0)
-    TraceId = TraceRecorder::currentTraceId();
-  uint64_t WhenUs = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now() - Epoch)
-          .count());
-  std::lock_guard<std::mutex> Lock(M);
-  FlightEvent &Slot = Ring[Next % Ring.size()];
-  Slot.Seq = Next++;
-  Slot.WhenUs = WhenUs;
-  Slot.TraceId = TraceId;
-  Slot.Kind = Kind;
-  Slot.Detail = std::move(Detail);
-}
-
-std::vector<FlightEvent> FlightRecorder::snapshot() const {
-  std::lock_guard<std::mutex> Lock(M);
-  std::vector<FlightEvent> Out;
-  uint64_t Have = std::min<uint64_t>(Next, Ring.size());
-  Out.reserve(Have);
-  for (uint64_t Seq = Next - Have; Seq < Next; ++Seq)
-    Out.push_back(Ring[Seq % Ring.size()]);
-  return Out;
-}
-
-std::string FlightRecorder::json(const char *Reason) const {
-  std::vector<FlightEvent> Events = snapshot();
-  uint64_t Dropped = 0;
-  {
-    std::lock_guard<std::mutex> Lock(M);
-    Dropped = Next > Ring.size() ? Next - Ring.size() : 0;
-  }
-  std::string Out = "{\n  \"reason\": \"";
-  appendEscaped(Out, Reason ? Reason : "dump");
-  Out += "\",\n  \"dropped\": " + std::to_string(Dropped) +
-         ",\n  \"flightEvents\": [";
-  bool First = true;
-  for (const FlightEvent &E : Events) {
-    Out += First ? "\n" : ",\n";
-    First = false;
-    Out += "    {\"seq\": " + std::to_string(E.Seq) +
-           ", \"us\": " + std::to_string(E.WhenUs) +
-           ", \"trace_id\": \"" + hex16(E.TraceId) + "\", \"kind\": \"";
-    appendEscaped(Out, E.Kind);
-    Out += "\", \"detail\": \"";
-    appendEscaped(Out, E.Detail);
-    Out += "\"}";
-  }
-  Out += First ? "]\n" : "\n  ]\n";
-  Out += "}\n";
   return Out;
 }
 

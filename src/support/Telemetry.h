@@ -26,10 +26,6 @@
 ///    flow whether or not a session is installed, and their ordering is
 ///    the deterministic report order, not event arrival order.
 ///
-///  * **FlightRecorder** — an always-on ring of recent structured events
-///    (admissions, dedup leadership, worker lifecycle, quarantine): the
-///    black box the daemon dumps on failure for post-mortems.
-///
 /// Requests are stitched together by 64-bit **trace IDs** (mintTraceId),
 /// carried thread-locally (TraceIdScope), across the prover-worker fork
 /// boundary in request frames, and over the wire in protocol frames.
@@ -306,52 +302,6 @@ private:
 };
 
 //===----------------------------------------------------------------------===//
-// FlightRecorder: the always-on black box.
-//===----------------------------------------------------------------------===//
-
-/// One structured flight-recorder event (admission decision, dedup
-/// leadership, worker lifecycle, cache corruption, quarantine).
-struct FlightEvent {
-  uint64_t Seq = 0;     ///< Monotonic; survives ring wrap for ordering.
-  uint64_t WhenUs = 0;  ///< Microseconds since recorder construction.
-  uint64_t TraceId = 0; ///< Attributed request, when known.
-  const char *Kind = ""; ///< Static event kind ("worker.quarantine"...).
-  std::string Detail;    ///< Small human payload (obligation name, why).
-};
-
-/// A fixed-capacity ring of recent FlightEvents. Always on: recording
-/// is one short mutex hold over a preallocated slot (no allocation
-/// beyond the detail string the caller already built), cheap enough to
-/// leave enabled in production. The daemon dumps the ring to JSON on
-/// quarantine, degraded exit, SIGTERM, or an explicit `dump` frame —
-/// the post-mortem record of what led up to the failure.
-class FlightRecorder {
-public:
-  explicit FlightRecorder(size_t Capacity = 1024);
-
-  /// Re-sizes the ring, dropping recorded events (call at startup).
-  void setCapacity(size_t Capacity);
-  size_t capacity() const;
-
-  /// Records one event. A zero \p TraceId is filled from the calling
-  /// thread's ambient trace ID.
-  void note(const char *Kind, std::string Detail, uint64_t TraceId = 0);
-
-  /// Surviving events, oldest first.
-  std::vector<FlightEvent> snapshot() const;
-
-  /// `{"reason": ..., "dropped": N, "flightEvents": [...]}` — oldest
-  /// first; `dropped` counts events the ring has already overwritten.
-  std::string json(const char *Reason = nullptr) const;
-
-private:
-  std::chrono::steady_clock::time_point Epoch;
-  mutable std::mutex M;
-  std::vector<FlightEvent> Ring; ///< Slot = Seq % Ring.size().
-  uint64_t Next = 0;             ///< Events ever recorded.
-};
-
-//===----------------------------------------------------------------------===//
 // Telemetry: the ambient sink.
 //===----------------------------------------------------------------------===//
 
@@ -363,7 +313,6 @@ class Telemetry {
 public:
   MetricsRegistry Metrics;
   TraceRecorder Trace;
-  FlightRecorder Flight;
   /// Span recording can be switched off independently (metrics-only
   /// sessions skip the span bookkeeping entirely).
   bool TraceEnabled = true;
@@ -479,15 +428,6 @@ inline void metricGaugeSet(std::string_view Name, int64_t Value) {
 inline void metricGaugeMax(std::string_view Name, int64_t Value) {
   if (Telemetry *T = Telemetry::active())
     T->Metrics.gaugeMax(Name, Value);
-}
-/// Flight-recorder note against the ambient session; a zero trace ID
-/// is filled from the calling thread's ambient request ID.
-inline void flightNote(const char *Kind, std::string Detail,
-                       uint64_t TraceId = 0) {
-  if (Telemetry *T = Telemetry::active()) {
-    T->Flight.note(Kind, std::move(Detail), TraceId);
-    T->Metrics.add("flight.events");
-  }
 }
 
 } // namespace support

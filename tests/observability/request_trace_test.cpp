@@ -11,9 +11,9 @@
 /// path; subprocess prover workers ship their span buffers back across
 /// the fork so the parent's trace merges daemon, service, and worker
 /// spans under one request trace ID (even while an injected
-/// worker.crash plan is killing a fifth of them); and a quarantine
-/// trips the flight-recorder dump, whose JSON names the quarantined
-/// obligation.
+/// worker.crash plan is killing a fifth of them); and a quarantine is
+/// named in the response, with one worker/kill span per dead worker in
+/// the trace.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,10 +29,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 #include <unistd.h>
@@ -79,11 +76,6 @@ makeService(unsigned Jobs,
 std::string socketPath(const char *Tag) {
   return std::string(::testing::TempDir()) + "/cobalt_rt_" + Tag + "_" +
          std::to_string(::getpid()) + ".sock";
-}
-
-std::string tempFile(const char *Tag) {
-  return std::string(::testing::TempDir()) + "/cobalt_rt_" + Tag + "_" +
-         std::to_string(::getpid()) + ".json";
 }
 
 /// Sends one client request and returns the response body (empty on
@@ -221,58 +213,52 @@ TEST(RequestTrace, WorkerSpansMergeUnderInjectedCrashes) {
 TEST(RequestTrace, QuarantineDumpsFlightRecorder) {
   std::shared_ptr<api::CobaltService> Svc =
       makeService(2, checker::WorkerIsolation::WI_Subprocess);
-  service::Daemon D(Svc, socketPath("flight"));
-  std::string FlightPath = tempFile("flight");
-  std::remove(FlightPath.c_str());
-  D.setFlightRecorderPath(FlightPath);
+  service::Daemon D(Svc, socketPath("quarantine"));
   ASSERT_FALSE(D.start().failed());
 
   // Every prover call crashes, every retry redraws the same decision:
   // the whole suite quarantines deterministically.
   ScopedFaultPlan Plan(std::string(faults::WorkerCrash) + "%100");
   std::string Check = ask(D, service::makeCheckRequest({}));
-  ASSERT_NE(Check.find("\"status\": \"ok\""), std::string::npos);
-  EXPECT_NE(Check.find("\"error\": \"worker_crash\""), std::string::npos);
   D.stop();
+  std::optional<service::JsonValue> Doc = service::parseJson(Check);
+  ASSERT_TRUE(Doc.has_value()) << Check;
+  ASSERT_EQ(Doc->find("status")->asString(), "ok") << Check;
 
-  // Pull one quarantined obligation's name out of the response so the
-  // dump can be checked for it: {"name": "...", "status": "unknown"...
-  std::string ObName;
-  if (size_t Pos = Check.find("\"status\": \"unknown\"");
-      Pos != std::string::npos) {
-    size_t NameEnd = Check.rfind("\", \"status\"", Pos);
-    size_t NameKey = Check.rfind("\"name\": \"", NameEnd);
-    if (NameEnd != std::string::npos && NameKey != std::string::npos) {
-      NameKey += 9; // strlen("\"name\": \"")
-      ObName = Check.substr(NameKey, NameEnd - NameKey);
+  // The response names every quarantined obligation and why. (Both
+  // definitions have obligations of the same names.)
+  std::map<std::string, unsigned> Quarantined;
+  for (const service::JsonValue &Def : Doc->find("definitions")->Items)
+    for (const service::JsonValue &Ob : Def.find("obligations")->Items) {
+      if (Ob.find("error")->asString() != "worker_crash")
+        continue;
+      EXPECT_EQ(Ob.find("reason")->asString().rfind("quarantined after ", 0),
+                0u)
+          << Check;
+      ++Quarantined[Ob.find("name")->asString()];
     }
+  ASSERT_FALSE(Quarantined.empty()) << Check;
+
+  // The trace holds the kills behind them: a worker/kill span per
+  // attempt, recorded by the daemon on the lane that saw the worker die.
+  std::map<std::string, unsigned> Kills;
+  for (const support::TraceEvent &E : Svc->telemetry()->Trace.snapshot()) {
+    if (std::string_view(E.Cat) != "worker" ||
+        std::string_view(E.Name) != "kill")
+      continue;
+    EXPECT_EQ(E.Pid, 0);
+    EXPECT_EQ(E.DurUs, 0u);
+    ASSERT_EQ(E.Args.size(), 2u);
+    EXPECT_STREQ(E.Args[0].first, "ob");
+    EXPECT_STREQ(E.Args[1].first, "why");
+    EXPECT_EQ(E.Args[1].second.rfind("worker died mid-request", 0), 0u)
+        << E.Args[1].second;
+    ++Kills[E.Args[0].second];
   }
-  ASSERT_FALSE(ObName.empty()) << Check;
-
-  std::ifstream In(FlightPath);
-  ASSERT_TRUE(In.good()) << "flight recorder was not dumped to "
-                         << FlightPath;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  std::string Dump = Buf.str();
-  EXPECT_NE(Dump.find("\"reason\": \"worker_quarantine\""),
-            std::string::npos);
-  EXPECT_NE(Dump.find("\"kind\": \"worker.quarantine\""),
-            std::string::npos);
-  EXPECT_NE(Dump.find("\"kind\": \"worker.spawn\""), std::string::npos);
-  EXPECT_NE(Dump.find(ObName), std::string::npos)
-      << "dump does not name quarantined obligation '" << ObName << "'";
-  std::remove(FlightPath.c_str());
-
-  // The explicit dump frame returns the same black box inline.
-  service::Daemon D2(Svc, socketPath("flight2"));
-  ASSERT_FALSE(D2.start().failed());
-  std::string Inline = ask(D2, service::makeDumpRequest());
-  D2.stop();
-  EXPECT_NE(Inline.find("\"status\": \"ok\""), std::string::npos);
-  EXPECT_NE(Inline.find("\"reason\": \"dump_frame\""), std::string::npos);
-  EXPECT_NE(Inline.find("\"kind\": \"worker.quarantine\""),
-            std::string::npos);
+  const unsigned Attempts = Svc->config().Prover.WorkerRestarts + 1;
+  for (auto &[Name, Count] : Quarantined)
+    Count *= Attempts;
+  EXPECT_EQ(Kills, Quarantined);
 }
 
 } // namespace

@@ -8,11 +8,12 @@
 /// Unit tests for the telemetry substrate (DESIGN.md §9): the sharded
 /// MetricsRegistry and its byte-stable JSON dump, the TraceRecorder's
 /// Chrome trace output, RAII TraceSpan nesting and the ambient
-/// TelemetryScope, and the Remark rendering the CLI's --remarks stream
-/// relies on.
+/// TelemetryScope, the Remark rendering the CLI's --remarks stream
+/// relies on, and the JSON string escaper the dumps share.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "support/JsonEscape.h"
 #include "support/Telemetry.h"
 
 #include <gtest/gtest.h>
@@ -314,55 +315,16 @@ TEST(TraceRecorderTest, ImportDropsMalformedLines) {
   EXPECT_EQ(R.eventCount(), 0u);
 }
 
-TEST(FlightRecorderTest, RecordsAndWraps) {
-  FlightRecorder F(/*Capacity=*/4);
-  EXPECT_EQ(F.capacity(), 4u);
-  for (int I = 0; I < 6; ++I)
-    F.note("worker.spawn", "pid " + std::to_string(I));
-  auto Events = F.snapshot();
-  ASSERT_EQ(Events.size(), 4u);
-  // Oldest two (0, 1) were overwritten; survivors are in order.
-  EXPECT_EQ(Events.front().Detail, "pid 2");
-  EXPECT_EQ(Events.back().Detail, "pid 5");
-  EXPECT_LT(Events.front().Seq, Events.back().Seq);
-
-  std::string J = F.json("worker_quarantine");
-  EXPECT_NE(J.find("\"reason\": \"worker_quarantine\""), std::string::npos);
-  EXPECT_NE(J.find("\"dropped\": 2"), std::string::npos);
-  EXPECT_NE(J.find("\"worker.spawn\""), std::string::npos);
-  EXPECT_NE(J.find("\"pid 5\""), std::string::npos);
-  EXPECT_EQ(J.find("\"pid 1\""), std::string::npos); // overwritten
-}
-
-TEST(FlightRecorderTest, NoteFillsAmbientTraceId) {
-  FlightRecorder F;
-  TraceIdScope Scope(0xBEEF);
-  F.note("dedup.leader", "2 definition(s) to prove");
-  F.note("worker.kill", "explicit id wins", 0x42);
-  auto Events = F.snapshot();
-  ASSERT_EQ(Events.size(), 2u);
-  EXPECT_EQ(Events[0].TraceId, 0xBEEFu);
-  EXPECT_EQ(Events[1].TraceId, 0x42u);
-}
-
-TEST(FlightRecorderTest, FlightNoteCountsEvents) {
-  Telemetry T;
-  TelemetryScope Scope(&T);
-  flightNote("admission.reject", "3 obligation(s) over bound");
-  EXPECT_EQ(T.Flight.snapshot().size(), 1u);
-  EXPECT_EQ(T.Metrics.counter("flight.events"), 1u);
-}
-
-TEST(FlightRecorderTest, SetCapacityResetsRing) {
-  FlightRecorder F(8);
-  F.note("worker.spawn", "pid 1");
-  F.setCapacity(2);
-  EXPECT_EQ(F.capacity(), 2u);
-  EXPECT_TRUE(F.snapshot().empty());
-  std::string J = F.json();
-  EXPECT_NE(J.find("\"flightEvents\": []"), std::string::npos);
-  EXPECT_NE(J.find("\"reason\": \"dump\""), std::string::npos); // default
-  EXPECT_NE(J.find("\"dropped\": 0"), std::string::npos);
+TEST(JsonEscapeTest, ShortEscapesControlBytesAndUtf8) {
+  // The one escaper behind report JSON, daemon frames, metrics and trace
+  // dumps, and the fuzz summary.
+  EXPECT_EQ(jsonEscape("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(jsonEscape("\n\r\t"), "\\n\\r\\t");
+  EXPECT_EQ(jsonEscape(std::string("\x01\x1f", 2)), "\\u0001\\u001f");
+  EXPECT_EQ(jsonEscape("\xce\xb7"), "\xce\xb7"); // UTF-8 passes through
+  std::string Out = "x";
+  appendJsonEscaped(Out, "\"");
+  EXPECT_EQ(Out, "x\\\"");
 }
 
 TEST(MetricsRegistryTest, ConcurrentAddsAreLossless) {

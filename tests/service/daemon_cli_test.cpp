@@ -155,7 +155,7 @@ TEST(DaemonCli, UsageErrorsAreExit2) {
             2);
   // A daemon-only flag rejected by cobaltc's flag sets.
   EXPECT_EQ(runCommand(std::string(COBALTC_BIN) +
-                           " check /dev/null --max-inflight 4 2>&1",
+                           " check /dev/null --telemetry 2>&1",
                        Out),
             2);
   EXPECT_NE(Out.find("not accepted by this tool"), std::string::npos)

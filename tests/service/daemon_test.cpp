@@ -10,7 +10,9 @@
 /// reports while the service proves each obligation exactly once (the
 /// dedup counters testify); pipelined frames are answered in order;
 /// malformed frames get error responses instead of killing the
-/// connection; and a client "shutdown" stops the daemon cleanly.
+/// connection; finished connections' threads are joined, not left
+/// holding their stacks; and a client "shutdown" stops the daemon
+/// cleanly.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +27,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <malloc.h>
+#include <pthread.h>
 #include <string>
 #include <thread>
 #include <unistd.h>
@@ -36,10 +42,9 @@ namespace faults = cobalt::support::faults;
 
 namespace {
 
-std::shared_ptr<api::CobaltService> makeService(unsigned MaxInFlight = 0) {
+std::shared_ptr<api::CobaltService> makeService() {
   api::CobaltConfig Config;
   Config.Telemetry = true;
-  Config.MaxInFlightObligations = MaxInFlight;
   api::CobaltService::Builder B;
   B.config(Config);
   for (const LabelDef &Def : opts::standardLabels())
@@ -91,6 +96,55 @@ TEST(Daemon, PingAndStats) {
   EXPECT_EQ(SDoc->find("status")->asString(), "ok");
   D.stop();
   EXPECT_FALSE(D.running());
+}
+
+/// This process's VmSize in kB, from /proc/self/status (0 if unread).
+long vmSizeKb() {
+  std::ifstream In("/proc/self/status");
+  std::string Line;
+  while (std::getline(In, Line))
+    if (Line.rfind("VmSize:", 0) == 0)
+      return std::strtol(Line.c_str() + 7, nullptr, 10);
+  return 0;
+}
+
+TEST(Daemon, FinishedConnectionThreadsAreReaped) {
+  // Keep malloc on the arenas it has: when two connection threads
+  // overlap, glibc may otherwise reserve a fresh 64 MB arena, which is
+  // VmSize noise this probe of thread stacks must not see.
+  mallopt(M_ARENA_MAX, 1);
+  std::shared_ptr<api::CobaltService> Svc = makeService();
+  service::Daemon D(Svc, socketPath("reap"));
+  ASSERT_FALSE(D.start().failed());
+  auto Ping = [&D] {
+    service::Client C;
+    ASSERT_FALSE(C.connect(D.socketPath()).failed());
+    ASSERT_TRUE(C.request(service::makePingRequest(), 10000).ok());
+  };
+  // Whatever the first connections map for good (malloc arenas, lazy
+  // set-up) is not part of the growth measured below.
+  for (int I = 0; I < 8; ++I)
+    Ping();
+  long Before = vmSizeKb();
+  ASSERT_GT(Before, 0);
+
+  // Every connection runs on a thread of its own, and an exited thread
+  // keeps its stack mapped until it is joined: 64 sequential clients
+  // must not leave 64 stacks behind in a long-lived daemon.
+  for (int I = 0; I < 64; ++I)
+    Ping();
+  long Growth = vmSizeKb() - Before;
+  D.stop();
+
+  pthread_attr_t Attr;
+  size_t StackBytes = 0;
+  pthread_attr_init(&Attr);
+  pthread_attr_getstacksize(&Attr, &StackBytes);
+  pthread_attr_destroy(&Attr);
+  long StackKb = static_cast<long>(StackBytes / 1024);
+  EXPECT_LT(Growth, 4 * StackKb)
+      << "VmSize grew " << Growth << " kB over 64 connections (thread "
+      << "stack " << StackKb << " kB)";
 }
 
 TEST(Daemon, ConcurrentClientsByteIdenticalAndProvedOnce) {

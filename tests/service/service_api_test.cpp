@@ -8,10 +8,9 @@
 /// The immutable service half of the API redesign (DESIGN.md §13):
 /// request resolution, per-request overrides, obligation-level dedup
 /// across concurrent callers (prove once, serve everyone, link the
-/// joiners' trace IDs), admission control's Retry contract, the
-/// never-keep-Unproven rule, the §6 assumed-analysis gate, the verdict
-/// store's mem-vs-disk counters, and concurrent pipeline requests on the
-/// service's one pass manager.
+/// joiners' trace IDs), the never-keep-Unproven rule, the §6
+/// assumed-analysis gate, the verdict store's mem-vs-disk counters, and
+/// concurrent pipeline requests on the service's one pass manager.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -154,49 +153,6 @@ TEST(ServiceApi, ConcurrentRequestsProveOnce) {
   EXPECT_EQ(Obligations, PerSuite);
   EXPECT_GE(counter(*Svc, "service.dedup.served"),
             (Threads - 1) * Single.Suite.Reports.size());
-}
-
-TEST(ServiceApi, AdmissionControlRetries) {
-  CobaltConfig Config;
-  Config.Telemetry = true;
-  Config.MaxInFlightObligations = 1;
-  std::shared_ptr<CobaltService> Svc = makeService(Config);
-  ScopedFaultPlan Plan(std::string(faults::CheckerProverStallMs) + "=30");
-  support::TelemetryScope Outer(Svc->telemetry());
-
-  // Leader: proves const_prop slowly. An idle service always admits —
-  // the bound only rejects when someone else is already proving.
-  std::thread Leader([&] {
-    CheckRequest Req;
-    Req.Only = {"const_prop"};
-    CheckResponse R = Svc->check(Req);
-    EXPECT_TRUE(R.ok());
-  });
-  // Competitor: a *different* definition while the leader is in flight
-  // must bounce with Retry (no partial effects), not queue.
-  bool SawRetry = false;
-  for (int Attempt = 0; Attempt < 100 && !SawRetry; ++Attempt) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    CheckRequest Req;
-    Req.Only = {"cse"};
-    CheckResponse R = Svc->check(Req);
-    if (R.retry()) {
-      SawRetry = true;
-      EXPECT_FALSE(R.Err.Message.empty());
-    } else if (R.ok()) {
-      break; // leader already finished; nothing left to bounce off
-    }
-  }
-  Leader.join();
-  EXPECT_TRUE(SawRetry);
-  EXPECT_GE(counter(*Svc, "service.admission.rejected"), 1u);
-
-  // After the storm passes, the same request is admitted and proves.
-  CheckRequest Req;
-  Req.Only = {"cse"};
-  CheckResponse R = Svc->check(Req);
-  ASSERT_TRUE(R.ok());
-  EXPECT_TRUE(R.Suite.allSound());
 }
 
 TEST(ServiceApi, BudgetOverrideAndUnprovenEviction) {

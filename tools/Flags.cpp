@@ -53,6 +53,14 @@ bool applyUInt(const char *Value, T &Field, std::string &Err,
   return true;
 }
 
+bool writeTextFile(const std::string &Path, const std::string &Text) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  if (!F)
+    return false;
+  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
+  return (std::fclose(F) == 0) && Ok;
+}
+
 const FlagRow Rows[] = {
     // FS_Core ------------------------------------------------------------
     {"--jobs", Style::S_SepValue, FS_Core, "<n>",
@@ -151,20 +159,6 @@ const FlagRow Rows[] = {
        O.MetricsOut = V;
        return true;
      }},
-    {"--flight-recorder=", Style::S_EqValue, FS_Telemetry, "FILE",
-     [](CommonOptions &O, const char *V, std::string &E) {
-       if (!*V) {
-         E = "--flight-recorder= requires a file";
-         return false;
-       }
-       O.FlightOut = V;
-       return true;
-     }},
-    {"--flight-events=", Style::S_EqValue, FS_Telemetry, "<n>",
-     [](CommonOptions &O, const char *V, std::string &E) {
-       return applyUInt(V, O.FlightEvents, E, "--flight-events=",
-                        /*AllowZero=*/false);
-     }},
     // FS_Service ---------------------------------------------------------
     {"--socket", Style::S_SepValue, FS_Service | FS_Client, "<path>",
      [](CommonOptions &O, const char *V, std::string &E) {
@@ -174,11 +168,6 @@ const FlagRow Rows[] = {
        }
        O.SocketPath = V;
        return true;
-     }},
-    {"--max-inflight", Style::S_SepValue, FS_Service, "<obligations>",
-     [](CommonOptions &O, const char *V, std::string &E) {
-       return applyUInt(V, O.Config.MaxInFlightObligations, E,
-                        "--max-inflight");
      }},
     {"--telemetry", Style::S_Bool, FS_Service, "",
      [](CommonOptions &O, const char *, std::string &) {
@@ -261,8 +250,7 @@ bool cli::parseFlags(int Argc, char **Argv, const char *Tool, unsigned Sets,
   }
   // Telemetry failures never change exit codes: a soundness tool's
   // verdict must not depend on whether its instrumentation worked.
-  if (!Opts.TraceOut.empty() || !Opts.MetricsOut.empty() ||
-      !Opts.FlightOut.empty() || Opts.Telemetry)
+  if (!Opts.TraceOut.empty() || !Opts.MetricsOut.empty() || Opts.Telemetry)
     Opts.Config.Telemetry = true;
   return true;
 }
@@ -290,4 +278,18 @@ std::string cli::flagUsage(unsigned Sets) {
   if (Line.size() > 7)
     Out += Line + "\n";
   return Out;
+}
+
+void cli::writeTelemetryFiles(const support::Telemetry *T,
+                              const std::string &TraceOut,
+                              const std::string &MetricsOut,
+                              const char *Tool) {
+  if (!T)
+    return;
+  if (!TraceOut.empty() && !writeTextFile(TraceOut, T->Trace.json()))
+    std::fprintf(stderr, "%s: warning: cannot write trace to '%s'\n", Tool,
+                 TraceOut.c_str());
+  if (!MetricsOut.empty() && !writeTextFile(MetricsOut, T->Metrics.json()))
+    std::fprintf(stderr, "%s: warning: cannot write metrics to '%s'\n",
+                 Tool, MetricsOut.c_str());
 }

@@ -11,7 +11,8 @@
 /// same validation everywhere. Each tool selects the *subsets* it
 /// accepts (FlagSet); unknown or out-of-set flags fail parsing with the
 /// tool's name in the message, and usage text is generated from the
-/// same table.
+/// same table. It also holds the --trace-out=/--metrics-out= writer
+/// that cobaltc, cobaltd and cobalt-fuzz share.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,12 +36,6 @@ struct CommonOptions {
   bool ReportJson = false;
   std::string TraceOut;
   std::string MetricsOut;
-  /// cobaltd: flight-recorder dump file (--flight-recorder=); written on
-  /// worker quarantine, SIGTERM, and explicit "dump" frames.
-  std::string FlightOut;
-  /// cobaltd: flight-recorder ring capacity (--flight-events=);
-  /// 0 = the recorder's default.
-  unsigned FlightEvents = 0;
   enum class RemarkLevel { RL_None, RL_Missed, RL_All };
   RemarkLevel Remarks = RemarkLevel::RL_None;
   /// cobaltd / cobaltc client: the AF_UNIX socket path.
@@ -59,9 +54,8 @@ enum FlagSet : unsigned {
   FS_Prover = 1u << 1,    ///< --prover-*, --isolate-workers, --worker-*
   FS_Driver = 1u << 2,    ///< --fail-fast, --keep-going, --report=json,
                           ///< --remarks=
-  FS_Telemetry = 1u << 3, ///< --trace-out=, --metrics-out=,
-                          ///< --flight-recorder=, --flight-events=
-  FS_Service = 1u << 4,   ///< --socket, --max-inflight, --telemetry
+  FS_Telemetry = 1u << 3, ///< --trace-out=, --metrics-out=
+  FS_Service = 1u << 4,   ///< --socket, --telemetry
   FS_Client = 1u << 5,    ///< --deadline, --only
 };
 
@@ -69,8 +63,8 @@ enum FlagSet : unsigned {
 /// positional arguments in \p Positional. On a malformed, unknown, or
 /// out-of-set flag, prints "<tool>: ..." to stderr and returns false.
 /// Sets Config.Prover.TimeoutMs to the CLI default (8000) before
-/// parsing, and enables Config.Telemetry when --trace-out=/
-/// --metrics-out=/--flight-recorder= or --telemetry were given.
+/// parsing, and enables Config.Telemetry when --trace-out=,
+/// --metrics-out= or --telemetry was given.
 bool parseFlags(int Argc, char **Argv, const char *Tool, unsigned Sets,
                 CommonOptions &Opts,
                 std::vector<const char *> &Positional);
@@ -78,6 +72,14 @@ bool parseFlags(int Argc, char **Argv, const char *Tool, unsigned Sets,
 /// Usage lines ("       --jobs <n>  ...") for the flags in \p Sets,
 /// generated from the table.
 std::string flagUsage(unsigned Sets);
+
+/// Writes \p T's Chrome trace to \p TraceOut and its metrics JSON to
+/// \p MetricsOut, each only when its path is nonempty (nothing when \p T
+/// is null). A failed write prints "<Tool>: warning: ..." on stderr and
+/// is otherwise ignored: telemetry never changes a tool's exit code.
+void writeTelemetryFiles(const support::Telemetry *T,
+                         const std::string &TraceOut,
+                         const std::string &MetricsOut, const char *Tool);
 
 } // namespace cli
 } // namespace cobalt

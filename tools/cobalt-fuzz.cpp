@@ -61,7 +61,10 @@
 #include "fuzz/Fuzzer.h"
 #include "ir/Printer.h"
 #include "support/FaultInjection.h"
+#include "support/JsonEscape.h"
 #include "validate/Adversary.h"
+
+#include "Flags.h"
 
 #include <algorithm>
 #include <chrono>
@@ -71,6 +74,7 @@
 #include <vector>
 
 using namespace cobalt;
+using support::jsonEscape;
 
 namespace {
 
@@ -180,36 +184,6 @@ bool parseArgs(int Argc, char **Argv, Options &Opts) {
   return true;
 }
 
-std::string jsonEscape(const std::string &S) {
-  std::string Out;
-  Out.reserve(S.size());
-  for (unsigned char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (C < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += static_cast<char>(C);
-      }
-    }
-  }
-  return Out;
-}
-
 std::vector<fuzz::FuzzTarget> assembleTargets(const std::string &Suite) {
   std::vector<fuzz::FuzzTarget> Targets;
   auto Append = [&](std::vector<fuzz::FuzzTarget> More) {
@@ -269,14 +243,6 @@ void recomputeVerdicts(const api::CobaltConfig &Config,
                    fuzz::verdictName(T.Verdict));
     T.Verdict = V;
   }
-}
-
-bool writeTextFile(const std::string &Path, const std::string &Text) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  return (std::fclose(F) == 0) && Ok;
 }
 
 /// The JSON summary. Deliberately wall-clock-free: every value is a
@@ -391,21 +357,6 @@ std::string adversaryJson(const Options &Opts,
   return Out;
 }
 
-/// Writes the campaign's --trace-out= and --metrics-out= files, if asked.
-void writeTelemetry(const Options &Opts, api::CobaltService &Svc) {
-  support::Telemetry *T = Svc.telemetry();
-  if (!T)
-    return;
-  if (!Opts.TraceOut.empty() &&
-      !writeTextFile(Opts.TraceOut, T->Trace.json()))
-    std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
-                 Opts.TraceOut.c_str());
-  if (!Opts.MetricsOut.empty() &&
-      !writeTextFile(Opts.MetricsOut, T->Metrics.json()))
-    std::fprintf(stderr, "cobalt-fuzz: warning: cannot write '%s'\n",
-                 Opts.MetricsOut.c_str());
-}
-
 /// `cobalt-fuzz --validate`: the adversarial campaign of DESIGN.md §14.
 /// The fuzzer switches sides — instead of probing the checker it
 /// miscompiles programs and tries to sneak them past the validator.
@@ -496,7 +447,8 @@ int main(int Argc, char **Argv) {
 
   if (Opts.Validate) {
     int Exit = runValidateMode(Opts, *Svc, Targets);
-    writeTelemetry(Opts, *Svc);
+    cli::writeTelemetryFiles(Svc->telemetry(), Opts.TraceOut,
+                             Opts.MetricsOut, "cobalt-fuzz");
     return Exit;
   }
 
@@ -517,7 +469,8 @@ int main(int Argc, char **Argv) {
       return ExitUsage;
     }
 
-  writeTelemetry(Opts, *Svc);
+  cli::writeTelemetryFiles(Svc->telemetry(), Opts.TraceOut, Opts.MetricsOut,
+                           "cobalt-fuzz");
 
   // Throughput carries wall-clock noise: stderr only, never the JSON.
   std::fprintf(stderr,

@@ -58,7 +58,6 @@
 ///                                               the daemon
 ///   cobaltc client stats --socket S             telemetry summary table
 ///                                               (--report=json for bytes)
-///   cobaltc client dump --socket S              flight-recorder snapshot
 ///   cobaltc client shutdown --socket S          stop the daemon
 ///
 /// Client mode prints the daemon's JSON response verbatim — the daemon
@@ -67,9 +66,7 @@
 /// The one exception is `stats`, which by default renders the daemon's
 /// counters and latency percentiles as a human-readable table; pass
 /// --report=json for the raw response bytes.
-/// `--deadline <ms>` bounds each response wait (default 30000). A
-/// "retry" response (admission control) is retried with backoff a few
-/// times before giving up with the degraded exit code.
+/// `--deadline <ms>` bounds each response wait (default 30000).
 ///
 /// Exit codes separate the fundamentally different outcomes:
 ///
@@ -106,18 +103,17 @@
 #include "service/Client.h"
 #include "service/Protocol.h"
 #include "support/FaultInjection.h"
+#include "support/JsonEscape.h"
 
 #include "Flags.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace cobalt;
@@ -150,8 +146,8 @@ int usage() {
       "       cobaltc opt <module.cob> <program.il> [flags]\n"
       "       cobaltc run <module.cob> <program.il> [input] [flags]\n"
       "       cobaltc validate <original.il> <candidate.il> [flags]\n"
-      "       cobaltc client <ping|check|run|validate|stats|dump|"
-      "shutdown> [args] --socket <path>\n"
+      "       cobaltc client <ping|check|run|validate|stats|shutdown> "
+      "[args] --socket <path>\n"
       "       cobaltc stdlib\n"
       "%s"
       "client flags:\n"
@@ -182,14 +178,6 @@ void printRemark(const support::Remark &R, const cli::CommonOptions &Opts) {
   std::fprintf(stderr, "remark: %s\n", R.str().c_str());
 }
 
-bool writeTextFile(const std::string &Path, const std::string &Text) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  return (std::fclose(F) == 0) && Ok;
-}
-
 /// Re-indents a pretty-printed JSON document so it can be embedded as a
 /// value inside the report object.
 std::string indentJson(const std::string &Doc, const char *Pad) {
@@ -217,14 +205,7 @@ void emitTelemetry(support::Telemetry *T, const cli::CommonOptions &Opts,
                    std::string *JsonOut) {
   if (!T)
     return;
-  if (!Opts.TraceOut.empty() &&
-      !writeTextFile(Opts.TraceOut, T->Trace.json()))
-    std::fprintf(stderr, "cobaltc: warning: cannot write trace to '%s'\n",
-                 Opts.TraceOut.c_str());
-  if (!Opts.MetricsOut.empty() &&
-      !writeTextFile(Opts.MetricsOut, T->Metrics.json()))
-    std::fprintf(stderr, "cobaltc: warning: cannot write metrics to '%s'\n",
-                 Opts.MetricsOut.c_str());
+  cli::writeTelemetryFiles(T, Opts.TraceOut, Opts.MetricsOut, "cobaltc");
 
   const support::MetricsRegistry &M = T->Metrics;
   if (JsonOut) {
@@ -509,7 +490,7 @@ int cmdOpt(const char *ModulePath, const char *ProgramPath,
     Out += ",\n";
     api::emitPipelineJson(Out, G.Pipeline.Reports);
     Out += ",\n  \"optimized_il\": \"" +
-           api::jsonEscape(ir::toString(G.Optimized)) + "\"";
+           support::jsonEscape(ir::toString(G.Optimized)) + "\"";
     emitTelemetry(G.telemetry(), Opts, &Out);
     Out += ",\n  \"exit\": " + std::to_string(G.Exit) + "\n}\n";
     std::fputs(Out.c_str(), stdout);
@@ -538,9 +519,9 @@ int cmdRun(const char *ModulePath, const char *ProgramPath,
     Out += ",\n";
     api::emitPipelineJson(Out, G.Pipeline.Reports);
     Out += ",\n  \"input\": " + std::to_string(Input);
-    Out += ",\n  \"original_result\": \"" + api::jsonEscape(RO.str()) +
+    Out += ",\n  \"original_result\": \"" + support::jsonEscape(RO.str()) +
            "\"";
-    Out += ",\n  \"optimized_result\": \"" + api::jsonEscape(RT.str()) +
+    Out += ",\n  \"optimized_result\": \"" + support::jsonEscape(RT.str()) +
            "\"";
     emitTelemetry(G.telemetry(), Opts, &Out);
     Out += ",\n  \"exit\": " + std::to_string(G.Exit) + "\n}\n";
@@ -599,44 +580,15 @@ int cmdValidate(const char *OrigPath, const char *CandPath,
 // Client mode.
 //===----------------------------------------------------------------------===//
 
-/// Sends \p Request, retrying on "retry" responses (admission control)
-/// with linear backoff. Returns the final response payload, or an
-/// EK_Unavailable error on transport failure.
-support::Expected<std::string>
-clientExchange(service::Client &C, const std::string &Request,
-               int64_t DeadlineMs) {
-  for (unsigned Attempt = 0;; ++Attempt) {
-    support::Expected<std::string> R = C.request(Request, DeadlineMs);
-    if (!R)
-      return R;
-    if (Attempt < 5) {
-      std::optional<service::JsonValue> Doc = service::parseJson(*R);
-      if (Doc) {
-        const service::JsonValue *Status = Doc->find("status");
-        if (Status && Status->asString() == "retry") {
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(50 * (Attempt + 1)));
-          continue;
-        }
-      }
-    }
-    return R;
-  }
-}
-
 /// The exit code a client response maps to: the server-computed "exit"
-/// member for ok responses, degraded for exhausted retries, usage for
-/// request errors. Transport failures never reach here (exit 5 happens
-/// at the call sites).
+/// member for ok responses, usage for request errors. Transport
+/// failures never reach here (exit 5 happens at the call sites).
 int clientExit(const std::string &Response) {
   std::optional<service::JsonValue> Doc = service::parseJson(Response);
   if (!Doc)
     return ExitUsage;
   const service::JsonValue *Status = Doc->find("status");
-  std::string St = Status ? Status->asString() : std::string();
-  if (St == "retry")
-    return ExitDegraded;
-  if (St != "ok")
+  if (!Status || Status->asString() != "ok")
     return ExitUsage;
   if (const service::JsonValue *Exit = Doc->find("exit"))
     return static_cast<int>(Exit->asI64(ExitAllSound));
@@ -671,15 +623,14 @@ void renderClientStats(const service::JsonValue &Doc) {
     return Counters ? U64(Counters->find(Name)) : 0;
   };
   std::printf("-- telemetry --\n");
-  std::printf("  requests     %llu total (check %llu, run %llu, retry "
-              "%llu, error %llu)\n",
+  std::printf("  requests     %llu total (check %llu, run %llu, error "
+              "%llu)\n",
               C("service.requests"), C("service.requests.check"),
-              C("service.requests.run"), C("service.requests.retry"),
-              C("service.requests.error"));
+              C("service.requests.run"), C("service.requests.error"));
   std::printf("  dedup        %llu leader(s), %llu await(s), %llu "
-              "served; admission rejected %llu\n",
+              "served\n",
               C("service.dedup.leader"), C("service.dedup.await"),
-              C("service.dedup.served"), C("service.admission.rejected"));
+              C("service.dedup.served"));
   std::printf("  cache mem    %llu hits / %llu misses\n",
               C("cache.mem.hits"), C("cache.mem.misses"));
   std::printf("  cache disk   %llu hits / %llu misses, %llu stores, "
@@ -695,8 +646,6 @@ void renderClientStats(const service::JsonValue &Doc) {
               "quarantined\n",
               C("worker.spawns"), C("worker.restarts"),
               C("worker.quarantined"));
-  std::printf("  flight       %llu event(s) recorded\n",
-              C("flight.events"));
   // Per-request-type latency percentiles from the daemon's log-bucketed
   // histograms (absent until the first request of that type arrives).
   static const struct {
@@ -760,8 +709,6 @@ int cmdClient(const std::vector<const char *> &Positional,
     Request = service::makeValidateRequest(Texts[0], Texts[1]);
   } else if (std::strcmp(Verb, "stats") == 0 && Positional.size() == 2) {
     Request = service::makeStatsRequest();
-  } else if (std::strcmp(Verb, "dump") == 0 && Positional.size() == 2) {
-    Request = service::makeDumpRequest();
   } else if (std::strcmp(Verb, "shutdown") == 0 &&
              Positional.size() == 2) {
     Request = service::makeShutdownRequest();
@@ -774,8 +721,7 @@ int cmdClient(const std::vector<const char *> &Positional,
     std::fprintf(stderr, "cobaltc: %s\n", E.str().c_str());
     return ExitUnreachable;
   }
-  support::Expected<std::string> R =
-      clientExchange(C, Request, Opts.DeadlineMs);
+  support::Expected<std::string> R = C.request(Request, Opts.DeadlineMs);
   if (!R) {
     std::fprintf(stderr, "cobaltc: %s\n", R.error().str().c_str());
     return ExitUnreachable;

@@ -5,8 +5,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// Verification-as-a-service (DESIGN.md §13): load modules once, build
-/// an immutable CobaltService, and serve check/run/stats requests over
-/// an AF_UNIX socket until shutdown.
+/// an immutable CobaltService, and serve check/run/validate/stats
+/// requests over an AF_UNIX socket until shutdown.
 ///
 ///   cobaltd <module.cob>... --socket <path> [flags]
 ///
@@ -16,18 +16,12 @@
 ///   --socket <path>        AF_UNIX socket to listen on (required)
 ///   --jobs <n>             service thread pool width (0 = hardware)
 ///   --cache-dir <dir>      disk tier behind the in-memory verdict store
-///   --max-inflight <n>     admission bound on concurrently proving
-///                          obligations (0 = unbounded); over-bound
-///                          requests get "retry" responses
-///   --telemetry            keep a metrics session for "stats"
+///   --telemetry            keep a metrics session for "stats" (spans are
+///                          kept only with --trace-out=)
 ///   --trace-out=FILE       write the daemon's lifetime Chrome trace on
 ///                          clean shutdown (implies --telemetry)
 ///   --metrics-out=FILE     write the lifetime metrics registry as JSON
 ///                          on clean shutdown (implies --telemetry)
-///   --flight-recorder=FILE flight-recorder black box: dumped here on
-///                          worker quarantine, SIGINT/SIGTERM, and
-///                          explicit "dump" frames (implies --telemetry)
-///   --flight-events=<n>    flight-recorder ring capacity (default 1024)
 ///   --prover-* / --worker-* / --isolate-workers
 ///                          prover policy, identical to cobaltc
 ///
@@ -71,24 +65,12 @@ int usage() {
 
 /// Signal handling: handlers may only do async-signal-safe work, and
 /// Daemon::requestStop is exactly that (one atomic store). The accept
-/// loop polls the flag every 100 ms. SignalStop distinguishes a
-/// signal-initiated shutdown (flight recorder dumped: something outside
-/// decided to kill us) from a client "shutdown" frame (clean).
+/// loop polls the flag every 100 ms.
 service::Daemon *ActiveDaemon = nullptr;
-volatile std::sig_atomic_t SignalStop = 0;
 
 void onSignal(int) {
-  SignalStop = 1;
   if (ActiveDaemon)
     ActiveDaemon->requestStop();
-}
-
-bool writeTextFile(const std::string &Path, const std::string &Text) {
-  std::FILE *F = std::fopen(Path.c_str(), "wb");
-  if (!F)
-    return false;
-  bool Ok = std::fwrite(Text.data(), 1, Text.size(), F) == Text.size();
-  return (std::fclose(F) == 0) && Ok;
 }
 
 } // namespace
@@ -125,12 +107,12 @@ int main(int Argc, char **Argv) {
     B.addModule(std::move(*Module));
   }
   std::shared_ptr<api::CobaltService> Svc = B.build();
+  // A daemon lives long: keep every request's spans only when they will
+  // be written out. (Prover workers follow the same switch.)
   if (support::Telemetry *T = Svc->telemetry())
-    if (Opts.FlightEvents != 0)
-      T->Flight.setCapacity(Opts.FlightEvents);
+    T->TraceEnabled = !Opts.TraceOut.empty();
 
   service::Daemon D(Svc, Opts.SocketPath);
-  D.setFlightRecorderPath(Opts.FlightOut);
   if (support::Error E = D.start(); E.failed()) {
     std::fprintf(stderr, "cobaltd: %s\n", E.str().c_str());
     return 2;
@@ -148,27 +130,13 @@ int main(int Argc, char **Argv) {
   std::fflush(stdout);
 
   D.wait();
-  // Black-box dump *before* stop(): a SIGTERM post-mortem wants the
-  // events as they stood when the signal arrived, not after teardown
-  // traffic. (Quarantine and "dump"-frame dumps happen inline.)
-  if (SignalStop)
-    D.dumpFlightRecorder("signal");
   D.stop();
   ActiveDaemon = nullptr;
 
   // Lifetime telemetry: --trace-out=/--metrics-out= switched the session
-  // on (Flags.cpp). Failures warn and never change the exit code.
-  if (support::Telemetry *T = Svc->telemetry()) {
-    if (!Opts.TraceOut.empty() &&
-        !writeTextFile(Opts.TraceOut, T->Trace.json()))
-      std::fprintf(stderr, "cobaltd: warning: cannot write trace to '%s'\n",
-                   Opts.TraceOut.c_str());
-    if (!Opts.MetricsOut.empty() &&
-        !writeTextFile(Opts.MetricsOut, T->Metrics.json()))
-      std::fprintf(stderr,
-                   "cobaltd: warning: cannot write metrics to '%s'\n",
-                   Opts.MetricsOut.c_str());
-  }
+  // on (Flags.cpp).
+  cli::writeTelemetryFiles(Svc->telemetry(), Opts.TraceOut, Opts.MetricsOut,
+                           "cobaltd");
   std::printf("cobaltd: stopped\n");
   return 0;
 }

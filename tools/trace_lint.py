@@ -19,10 +19,12 @@ Checks, in order:
     are disjoint or one fully contains the other. Partial overlap is a
     recorder bug. Lanes are keyed per process, so imported worker spans
     are swept independently of the parent's threads.
+ 7. With --require CAT/NAME (repeatable), every file holds at least one
+    "X" event of that category and name.
 
 Exit status: 0 clean, 1 lint errors, 2 cannot read/parse the input.
 
-Usage: trace_lint.py FILE [FILE...]
+Usage: trace_lint.py [--require CAT/NAME]... FILE [FILE...]
 """
 
 import json
@@ -124,12 +126,16 @@ def lint_events(path, doc, errors):
 
 
 def main(argv):
-    if len(argv) < 2:
+    args, required = argv[1:], []
+    while len(args) >= 2 and args[0] == "--require":
+        required.append(args[1])
+        args = args[2:]
+    if not args:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     errors = []
     total = 0
-    for path in argv[1:]:
+    for path in args:
         try:
             with open(path, "r", encoding="utf-8") as fp:
                 doc = json.load(fp)
@@ -138,13 +144,18 @@ def main(argv):
             return 2
         lint_events(path, doc, errors)
         if isinstance(doc, dict) and isinstance(doc.get("traceEvents"), list):
-            total += sum(1 for ev in doc["traceEvents"]
-                         if isinstance(ev, dict) and ev.get("ph") == "X")
+            spans = [ev for ev in doc["traceEvents"]
+                     if isinstance(ev, dict) and ev.get("ph") == "X"]
+            total += len(spans)
+            seen = {f"{ev.get('cat')}/{ev.get('name')}" for ev in spans}
+            for want in required:
+                if want not in seen:
+                    errors.append(f"{path}: no '{want}' span")
     for message in errors:
         print(f"trace_lint: {message}", file=sys.stderr)
     if errors:
         return 1
-    print(f"trace_lint: OK ({total} span(s) across {len(argv) - 1} file(s))")
+    print(f"trace_lint: OK ({total} span(s) across {len(args)} file(s))")
     return 0
 
 
