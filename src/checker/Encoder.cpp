@@ -318,6 +318,11 @@ z3::expr Encoder::freshLhs(const std::string &Hint) {
 //===----------------------------------------------------------------------===//
 
 void Encoder::addBackgroundAxioms(z3::solver &S) {
+  addOperatorAxioms(S);
+  addDistinctnessAxioms(S);
+}
+
+void Encoder::addOperatorAxioms(z3::solver &S) {
   z3::expr A = C.int_const("axA");
   z3::expr B = C.int_const("axB");
   auto ForAll2 = [&](z3::expr Body) { return z3::forall(A, B, Body); };
@@ -373,8 +378,6 @@ void Encoder::addBackgroundAxioms(z3::solver &S) {
     S.add(ForAll1(ApplyOp1(NegC2, A) == -A));
     S.add(ForAll1(DefinedOp1(NegC2, A) == C.bool_val(true)));
   }
-
-  addDistinctnessAxioms(S);
 }
 
 void Encoder::addDistinctnessAxioms(z3::solver &S) {
@@ -404,6 +407,15 @@ void Encoder::addDistinctnessAxioms(z3::solver &S) {
   AddDistinct(OpConsts, /*SplitByAritySuffix=*/true);
   AddDistinct(ConcreteVars, false);
   AddDistinct(ConcreteProcs, false);
+}
+
+void Encoder::resetObligation() {
+  ConcreteVars.clear();
+  ConcreteProcs.clear();
+  AllVarConsts.clear();
+  AllProcConsts.clear();
+  AllAllocs.clear();
+  FreshCounter = 0;
 }
 
 //===----------------------------------------------------------------------===//

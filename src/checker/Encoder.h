@@ -133,17 +133,29 @@ public:
   // Background.
   //===--------------------------------------------------------------------===//
 
-  /// Asserts the optimization-independent axioms (operator semantics and
-  /// distinctness of named operator/variable constants created so far).
-  /// Call after building all pattern terms for an obligation.
+  /// Asserts the optimization-independent axioms: addOperatorAxioms, then
+  /// addDistinctnessAxioms. Call after building all pattern terms for an
+  /// obligation.
   void addBackgroundAxioms(z3::solver &S);
 
+  /// The quantified semantics of the known operators. They mention only
+  /// the world's operator constants, so a checker asserts them once, at
+  /// the base level of a solver that proves many obligations.
+  void addOperatorAxioms(z3::solver &S);
+
   /// Only the quantifier-free distinctness axioms (named operators,
-  /// concrete variable/procedure names). Used by the counterexample
-  /// search, where the quantified operator semantics would block model
-  /// construction; the resulting counterexample contexts are diagnostic
-  /// (operator symbols may be under-constrained in them).
+  /// concrete variable/procedure names). Each obligation asserts its own;
+  /// the counterexample search asserts them without the quantified
+  /// operator semantics, which would block model construction (its
+  /// counterexample contexts are diagnostic: operator symbols may be
+  /// under-constrained in them).
   void addDistinctnessAxioms(z3::solver &S);
+
+  /// Forgets the constants of the obligation encoded last: concrete and
+  /// fresh names, state allocators and the fresh-name counter, so the
+  /// next obligation encoded in this context sees none of them. Sorts,
+  /// datatypes and operator constants belong to the context and stay.
+  void resetObligation();
 
   /// The OpS constant for a known operator spelling and arity.
   z3::expr opConst(const std::string &Spelling, unsigned Arity);
@@ -227,6 +239,7 @@ private:
 
   z3::context &C;
   std::map<std::string, z3::expr> OpConsts;
+  // Per-obligation tables (resetObligation clears them).
   std::map<std::string, z3::expr> ConcreteVars;
   std::map<std::string, z3::expr> ConcreteProcs;
   std::vector<z3::expr> AllVarConsts;  ///< Every VarS constant created.

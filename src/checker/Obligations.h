@@ -11,10 +11,10 @@
 /// a pure analysis (the paper's F/B obligations), the translation
 /// validator (src/validate) builds one per procedure pair, and
 /// SoundnessChecker::checkObligationSets discharges every set through the
-/// one retry/budget/containment/caching path. Each obligation is built in
-/// a fresh Z3 context by an ObligationBuilder, which owns the escalation
-/// schedule, the two-pass proof/counterexample solver setup, and the
-/// fault-injection points.
+/// one retry/budget/containment/caching path. A set's obligations are
+/// built and proven in order in one Z3 world, an ObligationBuilder, which
+/// owns the escalation schedule, the push/pop proof and counterexample
+/// solver setup, and the fault-injection points.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,10 +37,15 @@
 namespace cobalt {
 namespace checker {
 
-/// One obligation under construction: a fresh Z3 context + encoders +
-/// collected hypotheses. The fresh-context-per-obligation design is what
-/// makes obligations independently schedulable: builders share nothing,
-/// so each one can run on any thread of the pool.
+/// One Z3 world and the obligation being built in it. The world is a
+/// context, the IL sorts and datatypes (Enc), and a proof solver whose
+/// base level holds the quantified operator axioms. SoundnessChecker
+/// builds one per ObligationSet and proves the set's obligations in it in
+/// order: reset() clears the per-obligation tables, so no obligation sees
+/// another's constants, and check() asserts the obligation between push
+/// and pop. A world serves the next obligation only when the last one was
+/// proven on its first attempt (reusable()): a query cut short by the
+/// clock leaves solver state that differs run to run.
 struct ObligationBuilder {
   z3::context C;
   Encoder Enc;
@@ -52,6 +57,30 @@ struct ObligationBuilder {
   ObligationBuilder(const LabelRegistry &Registry,
                     const AnalysisTable &AnalysesByLabel)
       : Enc(C), PE(Enc, Registry, AnalysesByLabel) {}
+
+  /// Starts the next obligation in this world.
+  void reset() {
+    Enc.resetObligation();
+    PE.resetObligation();
+    Env.clear();
+    Hyps.clear();
+    WfStates.clear();
+  }
+
+  /// Whether the world may serve another obligation: the last check()
+  /// proved its obligation on the first attempt.
+  bool reusable() const { return Reusable; }
+
+  /// The world's proof solver, built on first use: the operator axioms
+  /// at base level, obligations only ever above it.
+  z3::solver &prover() {
+    if (!Proof) {
+      Proof = std::make_unique<z3::solver>(C);
+      ProofTimeoutMs = 0;
+      Enc.addOperatorAxioms(*Proof);
+    }
+    return *Proof;
+  }
 
   void hyp(const z3::expr &E) { Hyps.push_back(E); }
 
@@ -94,8 +123,9 @@ struct ObligationBuilder {
     return support::ErrorKind::EK_ProverUnknown;
   }
 
-  /// Discharges hypotheses ⊢ goal. Unsat of hypotheses ∧ ¬goal proves
-  /// the obligation. On unknown, a second *counterexample search* pass
+  /// Discharges hypotheses ⊢ goal. Unsat of hypotheses ∧ ¬goal, asserted
+  /// between push and pop on the world's proof solver, proves the
+  /// obligation. On unknown, a second *counterexample search* pass
   /// closes the uninterpreted domains over the finitely many named
   /// constants — any model found under the extra constraints is still a
   /// genuine counterexample (we only shrank the candidate space), and the
@@ -111,6 +141,7 @@ struct ObligationBuilder {
                          const ProverPolicy &Policy, int64_t RemainingMs) {
     ObligationResult R;
     R.Name = Name;
+    Reusable = false;
     auto Start = std::chrono::steady_clock::now();
     auto ElapsedMs = [&Start]() {
       return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -169,11 +200,13 @@ struct ObligationBuilder {
         continue;
       }
 
-      CR = runSolver(Goal, AttemptMs, Policy, /*CexMode=*/false, R,
-                     &Reason);
-      if (CR == z3::unknown)
-        CR = runSolver(Goal, AttemptMs, Policy, /*CexMode=*/true, R,
-                       nullptr);
+      CR = prove(Goal, AttemptMs, Policy, R, Reason);
+      if (CR == z3::unknown) {
+        // The world retires after this obligation, so its proof solver
+        // goes now, before the search builds its own.
+        Proof.reset();
+        CR = searchCounterexample(Goal, AttemptMs, Policy, R);
+      }
       if (CR != z3::unknown)
         break;
     }
@@ -183,6 +216,7 @@ struct ObligationBuilder {
 
     if (CR == z3::unsat) {
       R.St = ObligationResult::Status::OS_Proven;
+      Reusable = R.Attempts == 1;
     } else if (CR == z3::sat) {
       R.St = ObligationResult::Status::OS_Failed;
     } else {
@@ -199,66 +233,111 @@ struct ObligationBuilder {
   }
 
 private:
-  z3::check_result runSolver(const z3::expr &Goal, unsigned TimeoutMs,
-                             const ProverPolicy &Policy, bool CexMode,
-                             ObligationResult &R,
-                             std::string *ReasonUnknown) {
-    z3::solver S(C);
-    z3::params P(C);
+  /// Destroyed before the context (members go in reverse order).
+  std::unique_ptr<z3::solver> Proof;
+  /// The attempt timeout Proof was last given (0: none yet). Setting
+  /// solver parameters costs more than most queries they govern, so an
+  /// attempt sets them only when its timeout differs.
+  unsigned ProofTimeoutMs = 0;
+  bool Reusable = true;
+
+  /// Z3's "rlimit count": the context's deterministic spend so far, as an
+  /// unsigned that a long-lived world may wrap; unsigned subtraction of
+  /// two readings still gives the spend between them.
+  static unsigned rlimitCount(z3::solver &S) {
+    z3::stats Stats = S.statistics();
+    for (unsigned I = 0; I < Stats.size(); ++I)
+      if (Stats.is_uint(I) && Stats.key(I) == "rlimit count")
+        return Stats.uint_value(I);
+    return 0;
+  }
+
+  static void setLimits(z3::solver &S, unsigned TimeoutMs,
+                        const ProverPolicy &Policy) {
+    z3::params P(S.ctx());
     P.set("timeout", TimeoutMs);
     if (Policy.RLimit != 0)
       P.set("rlimit", static_cast<unsigned>(Policy.RLimit));
     S.set(P);
+  }
+
+  /// Runs \p S and adds the query's rlimit spend to \p R.
+  static z3::check_result run(z3::solver &S, ObligationResult &R) {
+    unsigned Before = rlimitCount(S);
+    z3::check_result CR = S.check();
+    R.RlimitSpent += static_cast<unsigned>(rlimitCount(S) - Before);
+    return CR;
+  }
+
+  /// Proof mode: the obligation between push and pop on the world's proof
+  /// solver, against the full quantified axioms.
+  z3::check_result prove(const z3::expr &Goal, unsigned TimeoutMs,
+                         const ProverPolicy &Policy, ObligationResult &R,
+                         std::string &ReasonUnknown) {
+    z3::solver &S = prover();
+    if (TimeoutMs != ProofTimeoutMs) {
+      setLimits(S, TimeoutMs, Policy);
+      ProofTimeoutMs = TimeoutMs;
+    }
+    S.push();
     for (const z3::expr &H : Hyps)
       S.add(H);
     for (const ZState &St : WfStates)
-      S.add(CexMode ? Enc.wfBounded(St) : Enc.wf(St));
+      S.add(Enc.wf(St));
     S.add(!Goal);
-    if (CexMode) {
-      // Counterexample search: quantifier-free hypotheses only. The
-      // quantified operator semantics would block model construction;
-      // models may therefore under-constrain operator symbols, which is
-      // fine for a *diagnostic* counterexample context (rejection was
-      // already decided by the proof pass coming back non-unsat).
-      Enc.addDistinctnessAxioms(S);
-      for (const z3::expr &E : Enc.domainClosure())
-        S.add(E);
-    } else {
-      Enc.addBackgroundAxioms(S);
-    }
-
-    z3::check_result CR = S.check();
-    // Z3's "rlimit count" is the deterministic spend of this query;
-    // accumulate it across attempts and modes as the obligation's cost.
-    z3::stats Stats = S.statistics();
-    for (unsigned I = 0; I < Stats.size(); ++I)
-      if (Stats.is_uint(I) && Stats.key(I) == "rlimit count")
-        R.RlimitSpent += Stats.uint_value(I);
-    if (CR == z3::unknown && ReasonUnknown)
-      *ReasonUnknown = S.reason_unknown();
-    // A closed-domain unsat does not prove the obligation (the closure
-    // removed models); only report sat results from this mode.
-    if (CexMode && CR == z3::unsat)
-      return z3::unknown;
-    if (CR == z3::sat) {
-      // The counterexample context (§7): a state of the world violating
-      // the obligation. Print pattern variables, statement parts, and
-      // state components; skip solver-internal constants.
-      std::ostringstream Out;
-      z3::model M = S.get_model();
-      unsigned Printed = 0;
-      for (unsigned I = 0; I < M.num_consts() && Printed < 16; ++I) {
-        z3::func_decl D = M.get_const_decl(I);
-        std::string Name = D.name().str();
-        if (Name.rfind("op!", 0) == 0 || Name.rfind("dc", 0) == 0 ||
-            Name.rfind("lbl!", 0) == 0 || Name.rfind("wild", 0) == 0)
-          continue;
-        Out << Name << " = " << M.get_const_interp(D).to_string() << "; ";
-        ++Printed;
-      }
-      R.Counterexample = Out.str();
-    }
+    Enc.addDistinctnessAxioms(S);
+    z3::check_result CR = run(S, R);
+    if (CR == z3::unknown)
+      ReasonUnknown = S.reason_unknown();
+    else if (CR == z3::sat)
+      R.Counterexample = describeModel(S.get_model());
+    S.pop();
     return CR;
+  }
+
+  /// Counterexample search: a fresh solver in the world's context with
+  /// quantifier-free hypotheses only. The quantified operator semantics
+  /// would block model construction; models may therefore under-constrain
+  /// operator symbols, which is fine for a *diagnostic* counterexample
+  /// context (rejection was already decided by the proof pass coming back
+  /// non-unsat). A closed-domain unsat does not prove the obligation (the
+  /// closure removed models), so only a sat result counts.
+  z3::check_result searchCounterexample(const z3::expr &Goal,
+                                        unsigned TimeoutMs,
+                                        const ProverPolicy &Policy,
+                                        ObligationResult &R) {
+    z3::solver S(C);
+    setLimits(S, TimeoutMs, Policy);
+    for (const z3::expr &H : Hyps)
+      S.add(H);
+    for (const ZState &St : WfStates)
+      S.add(Enc.wfBounded(St));
+    S.add(!Goal);
+    Enc.addDistinctnessAxioms(S);
+    for (const z3::expr &E : Enc.domainClosure())
+      S.add(E);
+    if (run(S, R) != z3::sat)
+      return z3::unknown;
+    R.Counterexample = describeModel(S.get_model());
+    return z3::sat;
+  }
+
+  /// The counterexample context (§7): a state of the world violating the
+  /// obligation. Prints pattern variables, statement parts, and state
+  /// components; skips solver-internal constants.
+  static std::string describeModel(const z3::model &M) {
+    std::ostringstream Out;
+    unsigned Printed = 0;
+    for (unsigned I = 0; I < M.num_consts() && Printed < 16; ++I) {
+      z3::func_decl D = M.get_const_decl(I);
+      std::string Name = D.name().str();
+      if (Name.rfind("op!", 0) == 0 || Name.rfind("dc", 0) == 0 ||
+          Name.rfind("lbl!", 0) == 0 || Name.rfind("wild", 0) == 0)
+        continue;
+      Out << Name << " = " << M.get_const_interp(D).to_string() << "; ";
+      ++Printed;
+    }
+    return Out.str();
   }
 };
 

@@ -62,6 +62,10 @@ public:
   z3::expr witness(const Witness &W, const ZState *Cur, const ZState *Old,
                    const ZState *New, MetaEnv &Env);
 
+  /// Forgets the analysis-label booleans of the obligation encoded last
+  /// (the companion of Encoder::resetObligation).
+  void resetObligation() { AnalysisLabelBools.clear(); }
+
 private:
   z3::expr matchBaseCond(const ir::BaseExpr &Pattern, const z3::expr &B,
                          MetaEnv &Env);

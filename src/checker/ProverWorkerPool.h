@@ -22,7 +22,8 @@
 ///    (`<job-index> <fault-key> <remaining-ms> <trace-id> <trace?>`),
 ///    open a fresh ScopedFaultKey for the job (so injected faults are
 ///    per-obligation deterministic at every --jobs width and identical
-///    on retries), run the job closure under a fresh child telemetry
+///    on retries), run the job closure (which keeps the Z3 world of the
+///    set it is proving across requests) under a fresh child telemetry
 ///    session carrying the request's trace ID, and write the serialized
 ///    ObligationResult back — followed, when tracing is on, by the
 ///    child's span buffer, which the parent merges into the ambient

@@ -843,9 +843,15 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
   // the ambient request trace ID here and re-establish it inside every
   // job (and ship it across the worker fork).
   const uint64_t SuiteTraceId = support::TraceRecorder::currentTraceId();
-  // Flatten every set's obligations into one job list so one slow
-  // obligation does not serialize the sets behind it.
+  // Number every unserved obligation: job Flat[I] is (set, obligation),
+  // and a set's obligations are contiguous from First[set].
   std::vector<std::pair<size_t, size_t>> Flat;
+  std::vector<size_t> First(Checks.size());
+  // The unit of fan-out is the set, longest first: a set's obligations
+  // run in index order on one lane, in one world, so each obligation's
+  // solver history is the earlier obligations of its own set whatever
+  // the width, the isolation mode or the other sets.
+  std::vector<size_t> Order;
   auto Now = std::chrono::steady_clock::now();
   for (size_t CI = 0; CI < Checks.size(); ++CI) {
     Checks[CI].Start = Now;
@@ -858,20 +864,57 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
         Cached.arg("def", Checks[CI].Report.Name);
       continue;
     }
+    First[CI] = Flat.size();
     for (size_t OI = 0; OI < Checks[CI].Set->Obligations.size(); ++OI)
       Flat.emplace_back(CI, OI);
+    Order.push_back(CI);
   }
+  auto Size = [&](size_t CI) { return Checks[CI].Set->Obligations.size(); };
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&](size_t A, size_t B) { return Size(A) > Size(B); });
 
-  // The discharge proper: build the query in a fresh context and run the
-  // solver. In-process mode runs it on the checker's threads (under the
-  // job's fault scope); subprocess mode runs the *same closure* inside a
-  // worker child, so the two modes cannot drift.
-  auto Discharge = [&](size_t Idx, int64_t Left) -> ObligationResult {
+  // The world a lane proves its set in: built at the set's first
+  // obligation (or after a retirement), freed before the next is built.
+  struct World {
+    size_t Set = SIZE_MAX;
+    std::unique_ptr<ObligationBuilder> B;
+  };
+  // The discharge proper: reset the world's tables, build the query and
+  // run the solver; retire the world unless the obligation was proven on
+  // its first attempt. In-process mode runs it on the checker's threads
+  // (under the job's fault scope); subprocess mode runs the *same
+  // closure* inside a worker child, so the two modes cannot drift.
+  auto Prove = [&](World &W, size_t Idx, int64_t Left) -> ObligationResult {
     auto [CI, OI] = Flat[Idx];
     const ObligationSpec &Spec = Checks[CI].Set->Obligations[OI];
-    ObligationBuilder B(Registry, *Checks[CI].Labels);
-    z3::expr Goal = Spec.Build(B);
-    return B.check(Spec.Name, Goal, Policy, Left);
+    if (W.Set != CI) {
+      W.B.reset();
+      W.Set = CI;
+    }
+    if (!W.B) {
+      support::TraceSpan Span("checker", "world");
+      W.B = std::make_unique<ObligationBuilder>(Registry, *Checks[CI].Labels);
+      W.B->prover();
+      support::metricAdd("checker.worlds");
+    }
+    ObligationResult R;
+    {
+      W.B->reset();
+      z3::expr Goal = Spec.Build(*W.B); // dies before its context
+      R = W.B->check(Spec.Name, Goal, Policy, Left);
+    }
+    if (!W.B->reusable()) {
+      W.B.reset();
+      support::metricAdd("checker.worlds_retired");
+    }
+    return R;
+  };
+  // A worker child proves in its own copy of this world, which the
+  // parent never touches: the parent sends a set's obligations in order
+  // to one lane, and a respawned worker starts from an empty world.
+  World ChildWorld;
+  auto Discharge = [&](size_t Idx, int64_t Left) {
+    return Prove(ChildWorld, Idx, Left);
   };
 
   // Out-of-process mode: fork one worker per lane *now*, before any job
@@ -916,7 +959,7 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
   // (in-process, or on the job's lane's worker), record. The span carries
   // deterministic args only (verdict, attempts, rlimit — wall time lives
   // in the span duration, which equivalence tests ignore).
-  auto Run = [&](size_t Idx) {
+  auto Run = [&](size_t Idx, World &W) {
     auto [CI, OI] = Flat[Idx];
     PreparedCheck &PC = Checks[CI];
     const std::string &Name = PC.Set->Obligations[OI].Name;
@@ -938,7 +981,7 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
       Result = budgetExhausted(Name);
     } else if (!Workers) {
       support::ScopedFaultKey JobKey(FaultKey);
-      Result = Discharge(Idx, Left);
+      Result = Prove(W, Idx, Left);
     } else {
       // The worker child opens the fault scope (per request, so retried
       // obligations redraw the same decisions); the parent supervises.
@@ -949,14 +992,21 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
     }
     recordObligation(Result, Span);
   };
+  // One set on one lane, its obligations in index order.
+  auto RunSet = [&](size_t K) {
+    size_t CI = Order[K];
+    World W;
+    for (size_t OI = 0; OI < Checks[CI].Set->Obligations.size(); ++OI)
+      Run(First[CI] + OI, W);
+  };
 
-  // Without a pool, jobs run in index order on this thread (lane 0) —
+  // Without a pool, sets run in dispatch order on this thread (lane 0) —
   // exactly the sequential checker, as on a width-1 pool.
   if (Pool)
-    Pool->parallelFor(Flat.size(), Run);
+    Pool->parallelFor(Order.size(), RunSet);
   else
-    for (size_t I = 0; I < Flat.size(); ++I)
-      Run(I);
+    for (size_t K = 0; K < Order.size(); ++K)
+      RunSet(K);
 
   if (Workers)
     Workers->stop();

@@ -185,8 +185,8 @@ struct ProverPolicy {
 };
 
 /// Checks optimizations and pure analyses against the IL semantics.
-/// Construct once and reuse (each obligation runs in a fresh Z3 context,
-/// which is also what makes obligations independently schedulable).
+/// Construct once and reuse (each obligation set is proven in a Z3 world
+/// of its own, which is also what makes sets independently schedulable).
 ///
 /// ## One obligation path
 /// The unit of work is an ObligationSet (checker/Obligations.h). lower()
@@ -209,13 +209,15 @@ struct ProverPolicy {
 /// the disk tier, setSharedCache() shares one store among many checkers.
 ///
 /// ## Parallelism
-/// checkObligationSets() fans the obligations of *all* its sets into a
-/// ThreadPool as independent jobs and reassembles reports in input
-/// order. Reports are bit-identical to a sequential run: obligations are
-/// deterministic Z3 queries, collection order is by (set, obligation)
-/// index, and fault-injection decisions are keyed on stable obligation
-/// fingerprints (set fingerprint, obligation name, salt) rather than
-/// arrival order.
+/// checkObligationSets() fans its sets into a ThreadPool as independent
+/// jobs, longest first, and reassembles reports in input order. A set's
+/// obligations run in index order on one lane, in one Z3 world, so an
+/// obligation's solver history is the earlier obligations of its own
+/// set. Reports are bit-identical to a sequential run: each set is a
+/// deterministic sequence of Z3 queries, collection order is by (set,
+/// obligation) index, and fault-injection decisions are keyed on stable
+/// obligation fingerprints (set fingerprint, obligation name, salt)
+/// rather than arrival order.
 class SoundnessChecker {
 public:
   /// \p Registry supplies user label definitions; \p Analyses supplies
@@ -269,17 +271,16 @@ public:
   /// fan-out, retry escalation, wall budgets, crash containment, trace
   /// spans, and — when a set is Cacheable — the verdict store. Lowered
   /// rules and analyses and the translation validator's per-pair
-  /// simulation obligations all enter the prover here. All sets'
-  /// obligations fan out together (one slow set does not serialize the
-  /// sets behind it); reports come back in input order.
+  /// simulation obligations all enter the prover here. All sets fan out
+  /// together, longest first, each on one lane in its own Z3 world;
+  /// reports come back in input order.
   std::vector<CheckReport>
   checkObligationSets(const std::vector<ObligationSet> &Sets);
 
-  /// Checks every definition, fanning all obligations of all definitions
-  /// into the thread pool at once (maximal overlap: one slow obligation
-  /// does not serialize the definitions behind it). Returns reports in
-  /// input order, analyses first — byte-identical to calling
-  /// checkAnalysis/checkOptimization in that order sequentially.
+  /// Checks every definition, fanning all definitions into the thread
+  /// pool at once. Returns reports in input order, analyses first —
+  /// byte-identical to calling checkAnalysis/checkOptimization in that
+  /// order sequentially.
   std::vector<CheckReport>
   checkSuite(const std::vector<PureAnalysis> &SuiteAnalyses,
              const std::vector<Optimization> &SuiteOptimizations);
@@ -301,7 +302,7 @@ private:
   /// Claims \p Set in the verdict store when it is Cacheable; unless the
   /// store serves it, sizes the report for its obligations' results.
   PreparedCheck prepare(const ObligationSet &Set);
-  /// Runs every obligation of the unserved checks.
+  /// Runs every obligation of the unserved checks, one set per lane.
   void discharge(std::vector<PreparedCheck> &Checks);
 
   const LabelRegistry &Registry;

@@ -18,7 +18,8 @@ bool VerdictStore::open(const std::string &Dir) {
   // v2: per-obligation rlimit spend.
   // v3: checksummed self-healing cache entries — pre-checksum entries
   //     would all be quarantined as corrupt, so orphan them instead.
-  return Disk.open(Dir, "verdict", /*Version=*/3);
+  // v4: rlimit is the obligation's spend in its set's world.
+  return Disk.open(Dir, "verdict", /*Version=*/4);
 }
 
 VerdictStore::Claim VerdictStore::claim(uint64_t Key, uint64_t TraceId) {

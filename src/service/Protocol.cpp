@@ -262,7 +262,8 @@ struct Parser {
 
 std::optional<JsonValue> service::parseJson(std::string_view Text,
                                             std::string *Err) {
-  Parser P{Text};
+  Parser P;
+  P.Text = Text;
   JsonValue Root;
   if (!P.parseValue(Root, 0)) {
     if (Err)

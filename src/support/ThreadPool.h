@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The one thread pool the whole pipeline shares: the soundness checker
-/// fans proof obligations into it (each job owns a fresh Z3 context), and
+/// fans obligation sets into it (each job owns one set's Z3 world), and
 /// the pass manager fans per-procedure pipeline runs into it. A
 /// CobaltService owns one pool sized by its `Jobs` config, and every
 /// request it serves runs on that pool.

@@ -50,10 +50,11 @@ void replay(const ValidationCorpusEntry &E) {
 
   // Ground truth first: the stored pair must still be a miscompile.
   std::optional<fuzz::Divergence> Div = fuzz::diffPrograms(Orig, Cand);
-  if (E.Class == "caught" || E.Class == "missed-unknown")
+  if (E.Class == "caught" || E.Class == "missed-unknown") {
     ASSERT_TRUE(Div) << E.Rule
                      << ": minimized pair no longer diverges:\n"
                      << ir::toString(Cand);
+  }
 
   LabelRegistry Registry;
   checker::SoundnessChecker Checker(Registry, {});
@@ -65,14 +66,16 @@ void replay(const ValidationCorpusEntry &E) {
   Checker.setPolicy(Policy);
 
   ValidationReport R = validatePrograms(Orig, Cand, Checker);
-  if (Div)
+  if (Div) {
     EXPECT_NE(R.V, Verdict::V_Equivalent)
         << E.Rule << ": validator-blessed miscompile\n"
         << R.str();
-  if (E.Class == "caught" || E.Class == "extended-catch")
+  }
+  if (E.Class == "caught" || E.Class == "extended-catch") {
     EXPECT_EQ(R.V, Verdict::V_Inequivalent)
         << E.Rule << " regressed from " << E.Class << ":\n"
         << R.str();
+  }
 }
 
 class ValidationReplayFixture : public ::testing::Test {

@@ -222,6 +222,7 @@ void emitTelemetry(support::Telemetry *T, const cli::CommonOptions &Opts,
       "  obligations  %llu (proven %llu, failed %llu, unknown %llu, "
       "retries %llu)\n"
       "  prover       %.2f s solver wall, rlimit %llu\n"
+      "  worlds       %llu built, %llu retired\n"
       "  cache        %llu hits / %llu misses (mem: %llu hits / %llu "
       "misses; disk: %llu hits, %llu stores, %llu corrupt)\n"
       "  workers      %llu spawned, %llu restarted, %llu obligation(s) "
@@ -240,6 +241,8 @@ void emitTelemetry(support::Telemetry *T, const cli::CommonOptions &Opts,
       static_cast<unsigned long long>(M.counter("checker.retries")),
       Prover.Sum,
       static_cast<unsigned long long>(M.counter("checker.rlimit_spent")),
+      static_cast<unsigned long long>(M.counter("checker.worlds")),
+      static_cast<unsigned long long>(M.counter("checker.worlds_retired")),
       static_cast<unsigned long long>(M.counter("checker.cache.hits")),
       static_cast<unsigned long long>(M.counter("checker.cache.misses")),
       static_cast<unsigned long long>(M.counter("cache.mem.hits")),
