@@ -72,11 +72,12 @@ struct ObligationBuilder {
   bool reusable() const { return Reusable; }
 
   /// The world's proof solver, built on first use: the operator axioms
-  /// at base level, obligations only ever above it.
+  /// at base level, obligations only ever above it. It is Z3's SMT kernel
+  /// (Z3_mk_simple_solver), not the default combined solver, which would
+  /// also build a tactic solver that a push/pop proof never asks.
   z3::solver &prover() {
     if (!Proof) {
-      Proof = std::make_unique<z3::solver>(C);
-      ProofTimeoutMs = 0;
+      Proof = std::make_unique<z3::solver>(C, z3::solver::simple());
       Enc.addOperatorAxioms(*Proof);
     }
     return *Proof;
@@ -235,10 +236,6 @@ struct ObligationBuilder {
 private:
   /// Destroyed before the context (members go in reverse order).
   std::unique_ptr<z3::solver> Proof;
-  /// The attempt timeout Proof was last given (0: none yet). Setting
-  /// solver parameters costs more than most queries they govern, so an
-  /// attempt sets them only when its timeout differs.
-  unsigned ProofTimeoutMs = 0;
   bool Reusable = true;
 
   /// Z3's "rlimit count": the context's deterministic spend so far, as an
@@ -275,10 +272,7 @@ private:
                          const ProverPolicy &Policy, ObligationResult &R,
                          std::string &ReasonUnknown) {
     z3::solver &S = prover();
-    if (TimeoutMs != ProofTimeoutMs) {
-      setLimits(S, TimeoutMs, Policy);
-      ProofTimeoutMs = TimeoutMs;
-    }
+    setLimits(S, TimeoutMs, Policy);
     S.push();
     for (const z3::expr &H : Hyps)
       S.add(H);
@@ -295,8 +289,9 @@ private:
     return CR;
   }
 
-  /// Counterexample search: a fresh solver in the world's context with
-  /// quantifier-free hypotheses only. The quantified operator semantics
+  /// Counterexample search: a fresh SMT-kernel solver in the world's
+  /// context with quantifier-free hypotheses only (no tactic
+  /// preprocessing runs on them). The quantified operator semantics
   /// would block model construction; models may therefore under-constrain
   /// operator symbols, which is fine for a *diagnostic* counterexample
   /// context (rejection was already decided by the proof pass coming back
@@ -306,7 +301,7 @@ private:
                                         unsigned TimeoutMs,
                                         const ProverPolicy &Policy,
                                         ObligationResult &R) {
-    z3::solver S(C);
+    z3::solver S(C, z3::solver::simple());
     setLimits(S, TimeoutMs, Policy);
     for (const z3::expr &H : Hyps)
       S.add(H);

@@ -791,8 +791,6 @@ std::vector<CheckReport> SoundnessChecker::checkObligationSets(
   for (PreparedCheck &PC : Checks) {
     if (PC.Served)
       continue;
-    for (const ObligationResult &R : PC.Report.Obligations)
-      PC.Report.TotalSeconds += R.Seconds;
     finalizeVerdict(PC.Report);
     if (PC.Claim.leads())
       Store->settle(PC.Claim, PC.Report);
@@ -878,6 +876,13 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
   struct World {
     size_t Set = SIZE_MAX;
     std::unique_ptr<ObligationBuilder> B;
+    /// Frees the world (solvers, datatypes, context), if any.
+    void drop() {
+      if (!B)
+        return;
+      support::TraceSpan Span("checker", "teardown");
+      B.reset();
+    }
   };
   // The discharge proper: reset the world's tables, build the query and
   // run the solver; retire the world unless the obligation was proven on
@@ -888,7 +893,7 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
     auto [CI, OI] = Flat[Idx];
     const ObligationSpec &Spec = Checks[CI].Set->Obligations[OI];
     if (W.Set != CI) {
-      W.B.reset();
+      W.drop();
       W.Set = CI;
     }
     if (!W.B) {
@@ -904,14 +909,17 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
       R = W.B->check(Spec.Name, Goal, Policy, Left);
     }
     if (!W.B->reusable()) {
-      W.B.reset();
+      W.drop();
       support::metricAdd("checker.worlds_retired");
     }
     return R;
   };
   // A worker child proves in its own copy of this world, which the
   // parent never touches: the parent sends a set's obligations in order
-  // to one lane, and a respawned worker starts from an empty world.
+  // to one lane, and a respawned worker starts from an empty world. The
+  // child frees a set's world (unless it retired) only when its next
+  // set's first obligation arrives, so that teardown is timed in the next
+  // set's TotalSeconds.
   World ChildWorld;
   auto Discharge = [&](size_t Idx, int64_t Left) {
     return Prove(ChildWorld, Idx, Left);
@@ -992,12 +1000,20 @@ void SoundnessChecker::discharge(std::vector<PreparedCheck> &Checks) {
     }
     recordObligation(Result, Span);
   };
-  // One set on one lane, its obligations in index order.
+  // One set on one lane, its obligations in index order. The set's
+  // TotalSeconds is its wall time on the lane, world build and teardown
+  // included.
   auto RunSet = [&](size_t K) {
     size_t CI = Order[K];
+    auto Start = std::chrono::steady_clock::now();
     World W;
     for (size_t OI = 0; OI < Checks[CI].Set->Obligations.size(); ++OI)
       Run(First[CI] + OI, W);
+    W.drop();
+    Checks[CI].Report.TotalSeconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                      Start)
+            .count();
   };
 
   // Without a pool, sets run in dispatch order on this thread (lane 0) —

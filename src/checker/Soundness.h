@@ -128,6 +128,8 @@ struct CheckReport {
   support::ErrorKind Degradation = support::ErrorKind::EK_None;
   bool CacheHit = false; ///< Served from the verdict cache.
   std::vector<ObligationResult> Obligations;
+  /// The set's wall time on its lane: world build, every obligation and
+  /// world teardown. 0 when the report was served from the verdict store.
   double TotalSeconds = 0.0;
   /// Analysis labels this result relies on; the overall guarantee only
   /// holds if the defining analyses are themselves proven sound.

@@ -19,7 +19,8 @@ bool VerdictStore::open(const std::string &Dir) {
   // v3: checksummed self-healing cache entries — pre-checksum entries
   //     would all be quarantined as corrupt, so orphan them instead.
   // v4: rlimit is the obligation's spend in its set's world.
-  return Disk.open(Dir, "verdict", /*Version=*/4);
+  // v5: rlimit and counterexamples come from Z3's SMT kernel.
+  return Disk.open(Dir, "verdict", /*Version=*/5);
 }
 
 VerdictStore::Claim VerdictStore::claim(uint64_t Key, uint64_t TraceId) {

@@ -9,7 +9,8 @@
 /// IL datatypes and a solver holding the operator axioms), each obligation
 /// between push and pop. An obligation's solver history is therefore the
 /// earlier obligations of its own set, and nothing else: these tests pin
-/// the per-obligation reset, the world count, that reports do not depend
+/// the per-obligation reset, the world count (with a teardown span per
+/// world and a set time that covers it), that reports do not depend
 /// on the order the sets are dispatched in, and the retire rule (a world
 /// survives only an obligation proven on its first attempt).
 ///
@@ -29,6 +30,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace cobalt;
@@ -105,12 +107,22 @@ TEST_F(ObligationWorldTest, SuiteBuildsOneWorldPerSetAndRetiresNone) {
     SC.setThreadPool(&Pool);
     std::vector<CheckReport> Reports = SC.checkSuite(Analyses, Optimizations);
     ASSERT_EQ(Reports.size(), Definitions);
-    for (const CheckReport &R : Reports)
+    for (const CheckReport &R : Reports) {
       EXPECT_TRUE(R.Sound) << R.str();
+      // A set's time covers its world's build and teardown too.
+      double Proving = 0;
+      for (const ObligationResult &Ob : R.Obligations)
+        Proving += Ob.Seconds;
+      EXPECT_GT(R.TotalSeconds, Proving) << R.Name;
+    }
     EXPECT_EQ(T.Metrics.counter("checker.worlds"), Definitions)
         << "jobs=" << Jobs;
     EXPECT_EQ(T.Metrics.counter("checker.worlds_retired"), 0u)
         << "jobs=" << Jobs;
+    size_t Teardowns = 0;
+    for (const support::TraceEvent &E : T.Trace.snapshot())
+      Teardowns += std::string_view(E.Name) == "teardown";
+    EXPECT_EQ(Teardowns, Definitions) << "jobs=" << Jobs;
   }
 }
 

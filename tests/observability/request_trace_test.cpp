@@ -189,9 +189,12 @@ TEST(RequestTrace, WorkerSpansMergeUnderInjectedCrashes) {
   for (const support::TraceEvent &E : T->Trace.snapshot()) {
     if (E.Pid != 0) {
       ++Merged;
-      // A worker records its discharges and the Z3 worlds they build.
+      // A worker records its discharges and the Z3 worlds they build
+      // and free.
       std::string_view Name = E.Name;
-      EXPECT_TRUE(Name == "discharge" || Name == "world") << Name;
+      EXPECT_TRUE(Name == "discharge" || Name == "world" ||
+                  Name == "teardown")
+          << Name;
       Worlds += Name == "world";
       if (E.TraceId == TraceId)
         ++Tagged;
